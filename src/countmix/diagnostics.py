@@ -190,18 +190,20 @@ def hard_assignments(traces, data: Dataset, spec: ModelSpec,
     subset of stored states (budget max_states across all chains); ties go
     to the lower index.  Invariant to the order chains are supplied in.
     """
-    from .sampler import responsibilities
+    from .sampler import _weighted_likelihood
 
     traces = sorted(traces, key=lambda t: t.chain_id)
     per_chain = max(1, max_states // max(len(traces), 1))
-    total = np.zeros((data.n, traces[0].k))
+    total = np.zeros((traces[0].k, data.n))
     count = 0
     for trace in traces:
         for s in _strided_indices(len(trace), per_chain):
-            total += responsibilities(trace.state_at(int(s)), data, spec)
+            pi = None if trace.pi is None else trace.pi[s]
+            r = _weighted_likelihood(data, spec, trace.c[s], trace.beta[s], trace.psi[s], pi)
+            total += r / r.sum(axis=0)
             count += 1
     total /= count
-    return np.argmax(total, axis=1)
+    return np.argmax(total, axis=0)
 
 
 def occupied_counts(trace: Trace) -> np.ndarray:

@@ -13,7 +13,6 @@ import numpy as np
 
 from .distributions import (
     _log_gamma_raw,
-    _nb_logpmf_raw,
     log_gamma,
     sample_negbin,
 )
@@ -26,15 +25,15 @@ __all__ = [
     "CovariateColumn",
     "LINPRED_CLAMP",
     "component_mean",
-    "linear_predictor",
     "loglik_matrix",
     "complete_log_likelihood",
     "log_prior",
     "generate_synthetic",
 ]
 
-# Linear predictors are clamped here before exponentiation so early MCMC
-# wandering cannot produce inf/NaN means; clamping is counted per call site.
+# Linear predictors are clamped to +/-LINPRED_CLAMP before exponentiation
+# (in the NB kernel below and wherever a mean is formed from beta), so early
+# MCMC wandering cannot produce inf/NaN means.  Clamped cells are not counted.
 LINPRED_CLAMP = 50.0
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -79,8 +78,8 @@ class Dataset:
     """Immutable design matrix plus count outcome.
 
     Column 0 of X is the intercept (all ones).  Caches the unique-count
-    decomposition of y and ln Gamma(y+1), which the sampler hot path reuses
-    every sweep.
+    decomposition of y and ln Gamma(y+1) per unique count, which the NB
+    kernel reuses every sweep.
     """
 
     def __init__(self, y, X, column_names):
@@ -105,7 +104,7 @@ class Dataset:
         self.column_names = tuple(column_names)
         self.y_unique, self.y_inverse = np.unique(self.y, return_inverse=True)
         self._yf = self.y.astype(float)
-        self.log_gamma_y1 = _log_gamma_raw(self._yf + 1.0)
+        self.log_gamma_y1 = _log_gamma_raw(self.y_unique + 1.0)
         self.zero_mask = self.y == 0
 
     @property
@@ -183,43 +182,56 @@ def component_mean(beta_k, x):
     return math.exp(max(-LINPRED_CLAMP, min(LINPRED_CLAMP, eta))), clamped
 
 
-def linear_predictor(X: np.ndarray, beta: np.ndarray):
-    """Clamped eta = X @ beta.T; returns (eta, number of clamped entries)."""
-    eta = X @ beta.T
-    n_clamped = int(np.count_nonzero(np.abs(eta) > LINPRED_CLAMP))
-    if n_clamped:
-        np.clip(eta, -LINPRED_CLAMP, LINPRED_CLAMP, out=eta)
-    return eta, n_clamped
+def _nb_table(data: Dataset, psi) -> np.ndarray:
+    """The terms of ln NB(y | mu, psi) that involve no mean, per unique y.
+
+    ln Gamma(y+psi) - ln Gamma(psi) - ln Gamma(y+1) + psi ln psi, of shape
+    psi.shape + (U,).  With ``_nb_eta_terms`` it is the NB log pmf:
+    ``_nb_table(data, psi)[..., data.y_inverse] + _nb_eta_terms(y, eta, psi)``.
+    """
+    psi = np.asarray(psi, dtype=float)[..., np.newaxis]
+    # One ln Gamma call: the appended y = 0 gives ln Gamma(psi) in the last column.
+    lg = _log_gamma_raw(np.append(data.y_unique, 0.0) + psi)
+    return lg[..., :-1] - lg[..., -1:] - data.log_gamma_y1 + psi * np.log(psi)
+
+
+def _nb_eta_terms(yf, eta, psi) -> np.ndarray:
+    """The terms of ln NB(y | e^eta, psi) that involve the linear predictor.
+
+    y eta - (psi + y) ln(psi + e^eta), with eta clamped to +/-LINPRED_CLAMP.
+    yf and psi broadcast against eta, which must already have the result's
+    shape; eta is not modified.
+    """
+    out = np.clip(eta, -LINPRED_CLAMP, LINPRED_CLAMP)
+    log_psi_mu = np.exp(out)
+    log_psi_mu += psi
+    np.log(log_psi_mu, out=log_psi_mu)
+    out -= log_psi_mu
+    out *= yf
+    log_psi_mu *= psi
+    out -= log_psi_mu
+    return out
 
 
 def loglik_matrix(data: Dataset, beta: np.ndarray, psi: np.ndarray,
                   pi: np.ndarray | None, spec: ModelSpec) -> np.ndarray:
     """N x K matrix of per-observation, per-component log pmf values.
 
-    Hot path: ln Gamma(y + psi_k) is evaluated on the unique counts only.
+    The result is the transpose of a C-ordered K x N array, so that
+    reductions across components run over contiguous rows.  The psi-only
+    terms are evaluated on the unique counts only.
     """
-    eta, _ = linear_predictor(data.X, beta)
-    mu = np.exp(eta)                                   # (N, K)
-    psi_row = psi[np.newaxis, :]
-    log_psi_mu = np.log(psi_row + mu)
-    lg_y_psi = _log_gamma_raw(data.y_unique[:, np.newaxis] + psi_row)  # (U, K)
-    ll = (
-        lg_y_psi[data.y_inverse]
-        - _log_gamma_raw(psi)[np.newaxis, :]
-        - data.log_gamma_y1[:, np.newaxis]
-        + psi_row * (np.log(psi_row) - log_psi_mu)
-        + data._yf[:, np.newaxis] * (eta - log_psi_mu)
-    )
+    ll = _nb_eta_terms(data._yf, beta @ data.X.T, psi[:, np.newaxis])
+    ll += np.take(_nb_table(data, psi), data.y_inverse, axis=1)
     if spec.zero_inflated:
         if pi is None:
             raise ValueError("zinb likelihood requires pi")
         with np.errstate(divide="ignore"):
-            log_pi = np.log(pi)[np.newaxis, :]
-            log_1mpi = np.log1p(-pi)[np.newaxis, :]
-        ll = ll + log_1mpi
+            log_pi = np.log(pi)[:, np.newaxis]
+            ll += np.log1p(-pi)[:, np.newaxis]
         zero = data.zero_mask
-        ll[zero] = np.logaddexp(np.broadcast_to(log_pi, ll[zero].shape), ll[zero])
-    return ll
+        ll[:, zero] = np.logaddexp(log_pi, ll[:, zero])
+    return ll.T
 
 
 def complete_log_likelihood(state: ParamState, data: Dataset, spec: ModelSpec) -> float:

@@ -2,24 +2,26 @@
 
 Per sweep: assignments z (conjugate categorical), structural zeros and pi
 for the zero-inflated variant, weights c (conjugate Dirichlet), then
-random-walk Metropolis on each beta coordinate and on log psi per
-component.  Proposal scales adapt toward a target acceptance rate during
-burn-in only, so the stored chain is a valid Markov chain.
+random-walk Metropolis on each beta coordinate and on log psi, proposed for
+all components at once (given z they are conditionally independent).
+Proposal scales adapt toward a target acceptance rate during burn-in only,
+so the stored chain is a valid Markov chain.
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import (
     Dataset,
-    LINPRED_CLAMP,
     ModelSpec,
     ParamState,
-    linear_predictor,
+    _nb_eta_terms,
+    _nb_table,
     loglik_matrix,
 )
 from .distributions import sample_dirichlet
@@ -106,26 +108,32 @@ class Trace:
         )
 
 
-def responsibilities(state: ParamState, data: Dataset, spec: ModelSpec) -> np.ndarray:
-    """N x K posterior membership probabilities given current parameters."""
+def _weighted_likelihood(data: Dataset, spec: ModelSpec, c, beta, psi, pi) -> np.ndarray:
+    """K x N responsibilities up to a per-row factor: c_k NB_k(y_n), column max 1."""
+    log_r = loglik_matrix(data, beta, psi, pi, spec).T
     with np.errstate(divide="ignore"):
-        log_c = np.log(state.c)
-    log_r = loglik_matrix(data, state.beta, state.psi, state.pi, spec) + log_c
-    top = log_r.max(axis=1)
+        log_r += np.log(c)[:, np.newaxis]
+    top = log_r.max(axis=0)
     if not np.all(np.isfinite(top)):
         raise SamplerError("all responsibilities underflowed for some observation")
-    r = np.exp(log_r - top[:, np.newaxis])
-    r /= r.sum(axis=1, keepdims=True)
-    return r
+    log_r -= top
+    return np.exp(log_r, out=log_r)
+
+
+def responsibilities(state: ParamState, data: Dataset, spec: ModelSpec) -> np.ndarray:
+    """N x K posterior membership probabilities given current parameters."""
+    r = _weighted_likelihood(data, spec, state.c, state.beta, state.psi, state.pi)
+    r /= r.sum(axis=0)
+    return r.T
 
 
 def update_assignments(state: ParamState, data: Dataset, spec: ModelSpec,
                        rng: np.random.Generator) -> np.ndarray:
     """Draw z_n ~ Categorical(r_n) for every observation, in place."""
-    r = responsibilities(state, data, spec)
-    cum = np.cumsum(r, axis=1)
-    u = rng.random(data.n)
-    z = (u[:, np.newaxis] > cum).sum(axis=1)
+    cum = np.cumsum(_weighted_likelihood(data, spec, state.c, state.beta,
+                                         state.psi, state.pi), axis=0)
+    u = rng.random(data.n) * cum[-1]
+    z = np.count_nonzero(u >= cum, axis=0)
     np.clip(z, 0, state.c.shape[0] - 1, out=z)
     state.z = z
     return z
@@ -139,116 +147,89 @@ def update_weights(z: np.ndarray, hyper, rng: np.random.Generator,
     return sample_dirichlet(hyper.alpha0 + counts, rng)
 
 
-def _nb_eta_part(yf, eta, psi):
-    """Likelihood terms that change when eta moves (psi fixed)."""
-    log_psi_mu = np.log(psi + np.exp(eta))
-    return float(np.sum(psi * (np.log(psi) - log_psi_mu) + yf * (eta - log_psi_mu)))
+def _likelihood_rows(state: ParamState, k: int) -> np.ndarray:
+    """Per row, the component whose beta/psi likelihood it enters: z, with
+    the out-of-range label k (dropped from per-component sums) for w = 1."""
+    if state.w is None:
+        return state.z
+    return np.where(state.w == 1, k, state.z)
 
 
 def update_coefficients(state: ParamState, data: Dataset, spec: ModelSpec,
                         scales: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Per-(k, d) random-walk Metropolis on beta, in place.
+    """Random-walk Metropolis on beta, one coordinate at a time, in place.
 
-    Returns per-block acceptance flags (1 accepted, 0 rejected, NaN where
-    the component was empty and beta was refreshed from the prior).
+    Step d proposes coordinate d for every component at once.  Returns
+    per-block acceptance flags (1 accepted, 0 rejected, NaN where the
+    component was empty and beta was refreshed from the prior).
     """
     hyper = spec.hyper
     k_max, d_dim = state.beta.shape
-    flags = np.full((k_max, d_dim), np.nan)
-    yf = data._yf
-    inv_2s2 = 0.5 / hyper.s0 ** 2
-    for k in range(k_max):
-        idx = np.flatnonzero(state.z == k)
-        if idx.size == 0:
-            state.beta[k] = rng.normal(hyper.m0, hyper.s0, size=d_dim)
-            continue
-        if spec.zero_inflated and state.w is not None:
-            idx = idx[state.w[idx] == 0]
-        if idx.size == 0:
-            # All assigned observations are structural zeros: the likelihood
-            # is flat in beta, so MH reduces to a prior random walk.
-            xk = np.empty((0, d_dim))
-            yk = np.empty(0)
-            eta = np.empty(0)
-            cur = 0.0
-        else:
-            xk = data.X[idx]
-            yk = yf[idx]
-            eta = np.clip(xk @ state.beta[k], -LINPRED_CLAMP, LINPRED_CLAMP)
-            cur = _nb_eta_part(yk, eta, state.psi[k])
-        for d in range(d_dim):
-            step = scales[k, d] * rng.standard_normal()
-            u = rng.random()
-            new_b = state.beta[k, d] + step
-            if idx.size:
-                eta_new = np.clip(eta + step * xk[:, d], -LINPRED_CLAMP, LINPRED_CLAMP)
-                new = _nb_eta_part(yk, eta_new, state.psi[k])
-            else:
-                eta_new = eta
-                new = 0.0
-            old_b = state.beta[k, d]
-            log_ratio = (new - cur) - inv_2s2 * (
-                (new_b - hyper.m0) ** 2 - (old_b - hyper.m0) ** 2
-            )
-            if np.isfinite(log_ratio) and np.log(u) < log_ratio:
-                state.beta[k, d] = new_b
-                eta = eta_new
-                cur = new
-                flags[k, d] = 1.0
-            else:
-                flags[k, d] = 0.0
+    z = state.z
+    rows = _likelihood_rows(state, k_max)
+    yf, X = data._yf, data.X
+    psi_z = state.psi[z]
+    eta = np.einsum("nd,nd->n", X, state.beta[z])
+    cur = _nb_eta_terms(yf, eta, psi_z)
+    steps = scales * rng.standard_normal((k_max, d_dim))
+    log_u = np.log(rng.random((k_max, d_dim)))
+    proposed = state.beta + steps
+    # The prior part of every log ratio; step d adds its likelihood part.
+    log_ratio = (0.5 / hyper.s0 ** 2) * (
+        (state.beta - hyper.m0) ** 2 - (proposed - hyper.m0) ** 2
+    )
+    accept = np.empty((k_max, d_dim), dtype=bool)
+    for d in range(d_dim):
+        eta_new = eta + steps[z, d] * X[:, d]
+        new = _nb_eta_terms(yf, eta_new, psi_z)
+        ratio = log_ratio[:, d] + np.bincount(rows, weights=new - cur,
+                                              minlength=k_max + 1)[:k_max]
+        accept[:, d] = np.isfinite(ratio) & (log_u[:, d] < ratio)
+        moved = accept[z, d]
+        eta = np.where(moved, eta_new, eta)
+        cur = np.where(moved, new, cur)
+    state.beta[accept] = proposed[accept]
+    flags = accept.astype(float)
+    empty = np.bincount(z, minlength=k_max) == 0
+    state.beta[empty] = rng.normal(hyper.m0, hyper.s0, size=(int(empty.sum()), d_dim))
+    flags[empty] = np.nan
     return flags
-
-
-def _nb_loglik_at_psi(data: Dataset, idx, eta, psi: float) -> float:
-    """Full NB log-likelihood over idx at fixed eta, variable psi."""
-    from .distributions import _log_gamma_raw
-
-    lg_u = _log_gamma_raw(data.y_unique + psi)
-    mu = np.exp(eta)
-    log_psi_mu = np.log(psi + mu)
-    yf = data._yf[idx]
-    return float(np.sum(
-        lg_u[data.y_inverse[idx]]
-        - _log_gamma_raw(np.array(psi))
-        - data.log_gamma_y1[idx]
-        + psi * (np.log(psi) - log_psi_mu)
-        + yf * (eta - log_psi_mu)
-    ))
 
 
 def update_precisions(state: ParamState, data: Dataset, spec: ModelSpec,
                       scales: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Random-walk Metropolis on log psi per component, in place.
+    """Random-walk Metropolis on log psi, all components at once, in place.
 
     The log-normal prior is expressed in eta = ln psi (eta ~ N(a0, b0^2)),
-    so the symmetric proposal needs no Jacobian correction.
+    so the symmetric proposal needs no Jacobian correction.  The psi-only
+    likelihood terms enter through per-(component, unique y) row counts.
     """
     hyper = spec.hyper
     k_max = state.psi.shape[0]
-    flags = np.full(k_max, np.nan)
-    inv_2b2 = 0.5 / hyper.b0 ** 2
-    for k in range(k_max):
-        idx = np.flatnonzero(state.z == k)
-        if idx.size == 0:
-            state.psi[k] = np.exp(rng.normal(hyper.a0, hyper.b0))
-            continue
-        if spec.zero_inflated and state.w is not None:
-            idx = idx[state.w[idx] == 0]
-        eta_lin = np.clip(data.X[idx] @ state.beta[k], -LINPRED_CLAMP, LINPRED_CLAMP)
-        log_psi = np.log(state.psi[k])
-        prop = log_psi + scales[k] * rng.standard_normal()
-        u = rng.random()
-        cur_ll = _nb_loglik_at_psi(data, idx, eta_lin, state.psi[k]) if idx.size else 0.0
-        new_ll = _nb_loglik_at_psi(data, idx, eta_lin, float(np.exp(prop))) if idx.size else 0.0
-        log_ratio = (new_ll - cur_ll) - inv_2b2 * (
-            (prop - hyper.a0) ** 2 - (log_psi - hyper.a0) ** 2
-        )
-        if np.isfinite(log_ratio) and np.log(u) < log_ratio:
-            state.psi[k] = float(np.exp(prop))
-            flags[k] = 1.0
-        else:
-            flags[k] = 0.0
+    z = state.z
+    rows = _likelihood_rows(state, k_max)
+    u_dim = data.y_unique.size
+    y_counts = np.bincount(rows * u_dim + data.y_inverse,
+                           minlength=(k_max + 1) * u_dim)[:k_max * u_dim]
+    log_psi = np.log(state.psi)
+    prop = log_psi + scales * rng.standard_normal(k_max)
+    log_u = np.log(rng.random(k_max))
+    both = np.stack([state.psi, np.exp(prop)])           # (2, K): current, proposed
+    table_part = np.einsum("ku,iku->ik", y_counts.reshape(k_max, u_dim),
+                           _nb_table(data, both))
+    eta = np.einsum("nd,nd->n", data.X, state.beta[z])
+    row_terms = _nb_eta_terms(data._yf, np.stack([eta, eta]), both[:, z])
+    ll_diff = table_part[1] - table_part[0] + np.bincount(
+        rows, weights=row_terms[1] - row_terms[0], minlength=k_max + 1)[:k_max]
+    log_ratio = ll_diff + (0.5 / hyper.b0 ** 2) * (
+        (log_psi - hyper.a0) ** 2 - (prop - hyper.a0) ** 2
+    )
+    accept = np.isfinite(log_ratio) & (log_u < log_ratio)
+    state.psi[accept] = both[1, accept]
+    flags = accept.astype(float)
+    empty = np.bincount(z, minlength=k_max) == 0
+    state.psi[empty] = np.exp(rng.normal(hyper.a0, hyper.b0, size=int(empty.sum())))
+    flags[empty] = np.nan
     return flags
 
 
@@ -263,12 +244,9 @@ def update_zero_inflation(state: ParamState, data: Dataset, spec: ModelSpec,
     zero_idx = np.flatnonzero(data.zero_mask)
     if zero_idx.size:
         zk = state.z[zero_idx]
-        eta = np.clip(
-            np.einsum("nd,nd->n", data.X[zero_idx], state.beta[zk]),
-            -LINPRED_CLAMP, LINPRED_CLAMP,
-        )
-        psi_z = state.psi[zk]
-        log_nb0 = psi_z * (np.log(psi_z) - np.log(psi_z + np.exp(eta)))
+        eta = np.einsum("nd,nd->n", data.X[zero_idx], state.beta[zk])
+        # y_unique[0] is 0 here, so table column 0 is ln NB(0)'s psi-only part.
+        log_nb0 = _nb_table(data, state.psi)[zk, 0] + _nb_eta_terms(0.0, eta, state.psi[zk])
         pi_z = state.pi[zk]
         p1 = pi_z
         p0 = (1.0 - pi_z) * np.exp(log_nb0)
@@ -417,7 +395,9 @@ def run_chains(spec: ModelSpec, data: Dataset, config: SamplerConfig,
             traces = list(pool.map(_chain_worker, jobs))
     except SamplerError:
         raise
-    except (OSError, PermissionError):
+    except BrokenProcessPool as exc:
+        raise SamplerError(f"a chain worker process died: {exc}") from exc
+    except OSError:
         # Sandboxed environments may forbid subprocesses; fall back.
         traces = [run_chain(*job) for job in jobs]
     return traces

@@ -286,6 +286,30 @@ class TestFit:
         assert run(["fit", "--input", path,
                     "--out", str(tmp_path / "f")] + FIT_FLAGS) == EXIT_SAMPLER
 
+    def test_crashed_worker_exit_code(self, tmp_path, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        from countmix import sampler
+
+        path = _write(tmp_path / "d.csv", "y,x\n3,0.1\n2,0.2\n")
+
+        class CrashingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                raise BrokenProcessPool("a worker was killed")
+
+        monkeypatch.setattr(sampler, "ProcessPoolExecutor", CrashingPool)
+        assert run(["fit", "--input", path,
+                    "--out", str(tmp_path / "f")] + FIT_FLAGS) == EXIT_SAMPLER
+
     def test_convergence_failure_exit_code(self, small_fit, tmp_path):
         sim_dir, _ = small_fit
         # An unattainable threshold forces the convergence exit path.

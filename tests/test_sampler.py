@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from countmix.distributions import negbin_log_pmf
 from countmix.model import (
     CovariateColumn,
     Dataset,
     Hyperparams,
+    LINPRED_CLAMP,
     ModelSpec,
     ParamState,
     generate_synthetic,
@@ -185,6 +187,169 @@ class TestUpdatePrecisions:
         se = 2.0 / math.sqrt(draws.size)
         assert abs(np.median(log_draws)) < 4 * se
         assert abs(log_draws.std(ddof=1) - 2.0) < 0.15
+
+
+class TestVectorisedMetropolis:
+    """The beta and psi steps propose for every component in one call; given
+    z the components must still move independently, each on its own
+    conditional."""
+
+    @staticmethod
+    def _three_components(n_per=50, seed=101):
+        # Rows 0..n_per-1 belong to component 0 (a criterion-3 dataset),
+        # the rest to component 1; component 2 is empty.
+        beta0 = np.array([[math.log(8.0), 0.4]])
+        data0, _ = generate_synthetic([1.0], beta0, [3.0], n_per,
+                                      [CovariateColumn("x1", "normal")], seed=seed)
+        data1, _ = generate_synthetic([1.0], [[math.log(30.0), -0.2]], [10.0], n_per,
+                                      [CovariateColumn("x1", "normal")], seed=seed + 1)
+        data = Dataset(y=np.concatenate([data0.y, data1.y]),
+                       X=np.vstack([data0.X, data1.X]),
+                       column_names=data0.column_names)
+        state = ParamState(c=np.full(3, 1 / 3),
+                           beta=np.array([[math.log(8.0), 0.4],
+                                          [math.log(30.0), -0.2],
+                                          [0.0, 0.0]]),
+                           psi=np.array([3.0, 10.0, 1.0]),
+                           z=np.repeat([0, 1], n_per))
+        return data, data0, state
+
+    def test_zero_scale_component_frozen_among_moving_ones(self, rng):
+        data, _, state = self._three_components()
+        spec = ModelSpec("nb", Hyperparams(k_max=3))
+        beta_scales = np.array([[0.05, 0.05], [0.0, 0.0], [0.1, 0.1]])
+        psi_scales = np.array([0.3, 0.0, 0.3])
+        frozen_beta, frozen_psi = state.beta[1].copy(), state.psi[1]
+        start = state.copy()
+        for _ in range(50):
+            flags_b = update_coefficients(state, data, spec, beta_scales, rng)
+            flags_p = update_precisions(state, data, spec, psi_scales, rng)
+            np.testing.assert_array_equal(flags_b[1], 1.0)
+            assert flags_p[1] == 1.0
+            assert np.all(np.isnan(flags_b[2])) and np.isnan(flags_p[2])
+            assert np.all(np.isfinite(flags_b[0])) and np.isfinite(flags_p[0])
+        np.testing.assert_array_equal(state.beta[1], frozen_beta)
+        assert state.psi[1] == pytest.approx(frozen_psi, rel=1e-14)
+        assert np.all(state.beta[0] != start.beta[0])
+        assert state.psi[0] != start.psi[0]
+        assert np.all(state.beta[2] != start.beta[2]) and state.psi[2] != start.psi[2]
+
+    def test_grid_quadrature_with_other_components_updating(self):
+        # Criterion 3's oracle for component 0's slope and log psi, while
+        # component 1 moves in the same calls and component 2 is refreshed.
+        from test_acceptance import _ks_against_grid
+
+        data, data0, state = self._three_components()
+        hyper = Hyperparams(k_max=3)
+        spec = ModelSpec("nb", hyper)
+        b0, psi0 = math.log(8.0), 3.0
+
+        def grid_sd(grid, log_density):
+            dens = np.exp(log_density - log_density.max())
+            dens /= dens.sum()
+            return math.sqrt(np.sum(dens * (grid - np.sum(dens * grid)) ** 2))
+
+        grid_b = np.linspace(-0.4, 1.2, 4001)
+        mu_grid = np.exp(b0 + grid_b[:, None] * data0.X[:, 1])
+        logd_b = (negbin_log_pmf(np.tile(data0.y, (grid_b.size, 1)), mu_grid, psi0).sum(axis=1)
+                  - 0.5 * (grid_b - hyper.m0) ** 2 / hyper.s0 ** 2)
+        mu0 = np.exp(data0.X @ np.array([b0, 0.4]))
+        grid_lp = np.linspace(math.log(0.8), math.log(15.0), 4001)
+        logd_lp = (np.array([negbin_log_pmf(data0.y, mu0, math.exp(lp)).sum() for lp in grid_lp])
+                   - 0.5 * (grid_lp - hyper.a0) ** 2 / hyper.b0 ** 2)
+
+        draws, burn = 50000, 2000
+        rng = np.random.default_rng(7)
+        beta_scales = np.array([[0.0, 2.4 * grid_sd(grid_b, logd_b)], [0.05, 0.05], [0.1, 0.1]])
+        slope = np.empty(draws)
+        for it in range(burn + draws):
+            update_coefficients(state, data, spec, beta_scales, rng)
+            if it >= burn:
+                slope[it - burn] = state.beta[0, 1]
+        assert state.beta[1, 0] != math.log(30.0)
+
+        state.beta[0] = [b0, 0.4]
+        rng = np.random.default_rng(8)
+        psi_scales = np.array([2.4 * grid_sd(grid_lp, logd_lp), 0.3, 0.3])
+        log_psi = np.empty(draws)
+        for it in range(burn + draws):
+            update_precisions(state, data, spec, psi_scales, rng)
+            if it >= burn:
+                log_psi[it - burn] = math.log(state.psi[0])
+        assert state.psi[1] != 10.0
+        assert _ks_against_grid(slope, grid_b, logd_b) < 0.02
+        assert _ks_against_grid(log_psi, grid_lp, logd_lp) < 0.02
+
+    def test_matches_loop_that_drops_structural_zeros(self):
+        # A per-component loop over negbin_log_pmf that leaves out the rows
+        # with w = 1, drawing the same random numbers, must take every
+        # accept/reject decision the vectorised steps take.  The zinb state
+        # has a clamped component, one of structural zeros only (walked on
+        # its prior) and an empty one (refreshed from the prior).
+        def loglik(data, idx, beta_k, psi_k):
+            eta = np.clip(data.X[idx] @ beta_k, -LINPRED_CLAMP, LINPRED_CLAMP)
+            return negbin_log_pmf(data.y[idx], np.exp(eta), psi_k).sum()
+
+        def reference(state, data, hyper, scales_b, scales_p, rng):
+            k, d = state.beta.shape
+            steps = scales_b * rng.standard_normal((k, d))
+            log_u = np.log(rng.random((k, d)))
+            flags_b = np.zeros((k, d))
+            for j in range(k):
+                idx = np.flatnonzero((state.z == j) & (state.w == 0))
+                for dd in range(d):
+                    prop = state.beta[j].copy()
+                    prop[dd] += steps[j, dd]
+                    ratio = (loglik(data, idx, prop, state.psi[j])
+                             - loglik(data, idx, state.beta[j], state.psi[j])
+                             - 0.5 / hyper.s0 ** 2 * ((prop[dd] - hyper.m0) ** 2
+                                                      - (state.beta[j, dd] - hyper.m0) ** 2))
+                    if log_u[j, dd] < ratio:
+                        state.beta[j], flags_b[j, dd] = prop, 1.0
+            empty = np.bincount(state.z, minlength=k) == 0
+            state.beta[empty] = rng.normal(hyper.m0, hyper.s0, size=(int(empty.sum()), d))
+            flags_b[empty] = np.nan
+            prop = np.log(state.psi) + scales_p * rng.standard_normal(k)
+            log_u = np.log(rng.random(k))
+            flags_p = np.zeros(k)
+            for j in range(k):
+                idx = np.flatnonzero((state.z == j) & (state.w == 0))
+                ratio = (loglik(data, idx, state.beta[j], math.exp(prop[j]))
+                         - loglik(data, idx, state.beta[j], state.psi[j])
+                         - 0.5 / hyper.b0 ** 2 * ((prop[j] - hyper.a0) ** 2
+                                                  - (math.log(state.psi[j]) - hyper.a0) ** 2))
+                if log_u[j] < ratio:
+                    state.psi[j], flags_p[j] = math.exp(prop[j]), 1.0
+            state.psi[empty] = np.exp(rng.normal(hyper.a0, hyper.b0, size=int(empty.sum())))
+            flags_p[empty] = np.nan
+            return flags_b, flags_p
+
+        gen = np.random.default_rng(0)
+        n = 300
+        X = np.column_stack([np.ones(n), gen.standard_normal(n), gen.binomial(1, 0.5, n)])
+        y = gen.negative_binomial(2, 0.2, n)
+        y[:60] = 0
+        data = Dataset(y=y, X=X, column_names=("intercept", "x1", "x2"))
+        z = gen.integers(0, 3, n)
+        z[:15] = 3                       # component 3: structural zeros only
+        w = np.zeros(n, dtype=np.int8)
+        w[:40] = 1
+        hyper = Hyperparams(k_max=5)     # component 4 is empty
+        spec = ModelSpec("zinb", hyper)
+        vec = ParamState(c=np.full(5, 0.2), beta=gen.normal(0, 1, (5, 3)),
+                         psi=np.exp(gen.normal(0, 1, 5)), z=z, pi=np.full(5, 0.3), w=w)
+        vec.beta[0, 0] = 60.0            # every row of component 0 is clamped
+        ref = vec.copy()
+        scales_b, scales_p = np.full((5, 3), 0.2), np.full(5, 0.5)
+        for it in range(100):
+            rng_vec, rng_ref = np.random.default_rng(it), np.random.default_rng(it)
+            flags_vec = (update_coefficients(vec, data, spec, scales_b, rng_vec),
+                         update_precisions(vec, data, spec, scales_p, rng_vec))
+            flags_ref = reference(ref, data, hyper, scales_b, scales_p, rng_ref)
+            for a, b in zip(flags_vec, flags_ref):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_allclose(vec.beta, ref.beta, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(vec.psi, ref.psi, rtol=1e-12)
 
 
 class TestUpdateZeroInflation:
