@@ -42,7 +42,7 @@ def main():
 
     code = run(["report", "--traces", fit_dir, "--out", rep_dir])
     if code == 0:
-        print(f"\ndone; see {rep_dir}/summary.txt")
+        print(f"\ndone; see {fit_dir}/summary.txt and the tables in {rep_dir}")
     return code
 
 

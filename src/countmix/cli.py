@@ -2,7 +2,8 @@
 
 Configuration precedence is flag > config file > default.  Machine files
 carry full binary64 reprs; human tables use 6 significant digits.  Exit
-codes: 0 success, 2 input error, 3 sampler failure, 4 convergence failure.
+codes: 0 success, 2 input error or degenerate fit, 3 sampler failure, 4
+convergence failure.
 """
 from __future__ import annotations
 
@@ -10,12 +11,14 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 
 import numpy as np
 
 from .diagnostics import (
+    DegenerateFitError,
     component_summary,
     hard_assignments,
     relabel,
@@ -28,7 +31,7 @@ from .model import (
     ModelSpec,
     generate_synthetic,
 )
-from .sampler import SamplerConfig, SamplerError, run_chains
+from .sampler import SamplerConfig, SamplerError, Trace, run_chains
 from . import traceio
 
 __all__ = [
@@ -224,6 +227,8 @@ def ingest(path: str, categorical: dict | None = None, outcome: str = "y") -> Da
                         f"{path}:{i + 2}: non-numeric value {v!r} in column {h!r} "
                         "(declare it categorical?)"
                     ) from None
+                if not math.isfinite(parsed[i]):
+                    raise DataError(f"{path}:{i + 2}: non-finite value {v!r} in column {h!r}")
             if np.all(parsed == parsed[0]):
                 log.warning("column %r is constant", h)
             columns.append(parsed)
@@ -361,6 +366,40 @@ def _tracked_rhats(relabeled, summaries, column_names):
     return values
 
 
+FIT_TABLES = ("prevalence.csv", "irr_forest.csv", "pmf_curves.csv")
+REPORT_TABLES = ("prevalence_table.csv", "irr_table.csv", "pmf_table.csv")
+
+
+def _write_tables(out_dir, summaries, column_names, filenames):
+    """Write the prevalence, IRR and pmf tables under the given file names."""
+    prevalence, irr, pmf = (os.path.join(out_dir, name) for name in filenames)
+    occupied = [s for s in summaries if s.occupied]
+    _write_csv(
+        prevalence,
+        ["component", "mean", "hpdi_lo", "hpdi_hi", "occupied"],
+        (
+            [str(s.index), repr(s.prevalence_mean), repr(s.prevalence_hpdi[0]),
+             repr(s.prevalence_hpdi[1]), str(int(s.occupied))]
+            for s in summaries
+        ),
+    )
+    _write_csv(
+        irr,
+        ["component", "covariate", "mean", "hpdi_lo", "hpdi_hi", "excludes_one"],
+        (
+            [str(s.index), col, repr(float(s.irr_mean[dd])),
+             repr(float(s.irr_hpdi[dd, 0])), repr(float(s.irr_hpdi[dd, 1])),
+             str(int(s.irr_excludes_one[dd]))]
+            for s in occupied for dd, col in enumerate(column_names)
+        ),
+    )
+    _write_csv(
+        pmf,
+        ["component", "y", "probability"],
+        ([str(s.index), str(yv), repr(float(p))] for s in occupied for yv, p in enumerate(s.pmf)),
+    )
+
+
 def _write_fit_outputs(out_dir, data, spec, sampler_cfg, settings, relabeled,
                        summaries, assignments, rhats, reference_x):
     os.makedirs(out_dir, exist_ok=True)
@@ -371,38 +410,7 @@ def _write_fit_outputs(out_dir, data, spec, sampler_cfg, settings, relabeled,
         chain_files.append(name)
     traceio.write_checksums(out_dir, chain_files)
 
-    _write_csv(
-        os.path.join(out_dir, "prevalence.csv"),
-        ["component", "mean", "hpdi_lo", "hpdi_hi", "occupied"],
-        (
-            [str(s.index), repr(s.prevalence_mean), repr(s.prevalence_hpdi[0]),
-             repr(s.prevalence_hpdi[1]), str(int(s.occupied))]
-            for s in summaries
-        ),
-    )
-    irr_rows = []
-    for s in summaries:
-        if not s.occupied:
-            continue
-        for dd, col in enumerate(data.column_names):
-            irr_rows.append([
-                str(s.index), col, repr(float(s.irr_mean[dd])),
-                repr(float(s.irr_hpdi[dd, 0])), repr(float(s.irr_hpdi[dd, 1])),
-                str(int(s.irr_excludes_one[dd])),
-            ])
-    _write_csv(
-        os.path.join(out_dir, "irr_forest.csv"),
-        ["component", "covariate", "mean", "hpdi_lo", "hpdi_hi", "excludes_one"],
-        irr_rows,
-    )
-    pmf_rows = []
-    for s in summaries:
-        if not s.occupied:
-            continue
-        for yv, p in enumerate(s.pmf):
-            pmf_rows.append([str(s.index), str(yv), repr(float(p))])
-    _write_csv(os.path.join(out_dir, "pmf_curves.csv"),
-               ["component", "y", "probability"], pmf_rows)
+    _write_tables(out_dir, summaries, data.column_names, FIT_TABLES)
 
     cat_raw = getattr(data, "categorical_raw", {})
     cat_cols = sorted(cat_raw)
@@ -443,21 +451,11 @@ def _write_fit_outputs(out_dir, data, spec, sampler_cfg, settings, relabeled,
     return meta
 
 
-def _summary_text(data, spec, sampler_cfg, summaries, rhats, relabeled):
-    lines = []
+def _component_tables(summaries, column_names) -> list[str]:
+    """The prevalence and IRR tables of summary.txt, also printed by report."""
     occupied = [s for s in summaries if s.occupied]
-    lines.append("countmix fit summary")
-    lines.append("====================")
-    lines.append(f"model: {spec.variant}  k_max: {spec.hyper.k_max}  "
-                 f"alpha0: {_sig6(spec.hyper.alpha0)}")
-    lines.append(f"observations: {data.n}  covariate columns: {data.d}")
-    lines.append(f"chains: {sampler_cfg.chains}  iterations: {sampler_cfg.iterations}  "
-                 f"burn_in: {sampler_cfg.burn_in}  thin: {sampler_cfg.thin}  "
-                 f"seed: {sampler_cfg.master_seed}")
-    lines.append("")
-    lines.append(f"occupied components: {len(occupied)}")
-    lines.append("")
-    lines.append("component  prevalence  hpdi_lo  hpdi_hi  count_mode  empirical_mode")
+    lines = [f"occupied components: {len(occupied)}", "",
+             "component  prevalence  hpdi_lo  hpdi_hi  count_mode  empirical_mode"]
     for s in occupied:
         emp = "-" if s.empirical_mode is None else str(s.empirical_mode)
         lines.append(
@@ -469,12 +467,27 @@ def _summary_text(data, spec, sampler_cfg, summaries, rhats, relabeled):
     lines.append("incidence rate ratios (posterior mean of exp(beta), 95% HPDI)")
     lines.append("component  covariate  irr  hpdi_lo  hpdi_hi  excludes_1")
     for s in occupied:
-        for dd, col in enumerate(data.column_names):
+        for dd, col in enumerate(column_names):
             lines.append(
                 f"{s.index:>9d}  {col}  {_sig6(float(s.irr_mean[dd]))}  "
                 f"{_sig6(float(s.irr_hpdi[dd, 0]))}  {_sig6(float(s.irr_hpdi[dd, 1]))}  "
                 f"{'yes' if s.irr_excludes_one[dd] else 'no'}"
             )
+    return lines
+
+
+def _summary_text(data, spec, sampler_cfg, summaries, rhats, relabeled):
+    lines = []
+    lines.append("countmix fit summary")
+    lines.append("====================")
+    lines.append(f"model: {spec.variant}  k_max: {spec.hyper.k_max}  "
+                 f"alpha0: {_sig6(spec.hyper.alpha0)}")
+    lines.append(f"observations: {data.n}  covariate columns: {data.d}")
+    lines.append(f"chains: {sampler_cfg.chains}  iterations: {sampler_cfg.iterations}  "
+                 f"burn_in: {sampler_cfg.burn_in}  thin: {sampler_cfg.thin}  "
+                 f"seed: {sampler_cfg.master_seed}")
+    lines.append("")
+    lines += _component_tables(summaries, data.column_names)
     lines.append("")
     if rhats:
         lines.append("split-chain R-hat (tracked scalars)")
@@ -483,13 +496,12 @@ def _summary_text(data, spec, sampler_cfg, summaries, rhats, relabeled):
     else:
         lines.append("R-hat unavailable (single chain)")
     lines.append("")
-    lines.append("acceptance rates after adaptation (per chain)")
+    lines.append("acceptance rates after adaptation "
+                 "(per chain, weighted by component row counts)")
     for trace in relabeled:
-        rb = trace.accept_rates.get("beta")
-        rp = trace.accept_rates.get("psi")
-        rb_str = _sig6(float(np.nanmean(rb))) if rb is not None and not np.all(np.isnan(rb)) else "-"
-        rp_str = _sig6(float(np.nanmean(rp))) if rp is not None and not np.all(np.isnan(rp)) else "-"
-        lines.append(f"  chain {trace.chain_id}: beta {rb_str}  psi {rp_str}")
+        rb = _sig6(trace.accept_rates["beta_weighted"])
+        rp = _sig6(trace.accept_rates["psi_weighted"])
+        lines.append(f"  chain {trace.chain_id}: beta {rb}  psi {rp}")
     lines.append("")
     return "\n".join(lines) + "\n"
 
@@ -505,12 +517,12 @@ def cmd_fit(args) -> int:
     relabeled = relabel(traces, reference_x=reference_x,
                         weight_floor=settings["occupancy_threshold"])
     assignments = hard_assignments(relabeled, data, spec)
-    summaries = component_summary(
-        relabeled, data, spec,
-        occupancy_threshold=settings["occupancy_threshold"],
-        reference_x=reference_x,
-        assignments=assignments,
-    )
+    summaries = component_summary(relabeled, int(data.y.max()), reference_x,
+                                  settings["occupancy_threshold"])
+    for s in summaries:
+        members = data.y[assignments == s.index]
+        if members.size:
+            s.empirical_mode = int(np.argmax(np.bincount(members)))
     rhats = (
         _tracked_rhats(relabeled, summaries, data.column_names)
         if sampler_cfg.chains >= 2 else {}
@@ -536,82 +548,31 @@ def cmd_fit(args) -> int:
 
 
 def cmd_report(args) -> int:
+    """Re-render the fit's tables from its persisted, relabeled chains."""
     trace_dir = args.traces
     out_dir = args.out or trace_dir
-    os.makedirs(out_dir, exist_ok=True)
+    meta_path = os.path.join(trace_dir, "run_meta.json")
     try:
         traceio.verify_checksums(trace_dir)
+        if not os.path.exists(meta_path):
+            raise DataError(f"missing run_meta.json in {trace_dir}")
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        traces = []
+        for cid in range(meta["sampler"]["chains"]):
+            path = os.path.join(trace_dir, f"chain_{cid}.csv")
+            if not os.path.exists(path):
+                raise DataError(f"missing chain file {path}")
+            arrays, columns = traceio.load_trace(path)
+            traces.append(Trace(counts=None, chain_id=cid, column_names=columns, **arrays))
     except traceio.ChecksumError as exc:
         raise DataError(str(exc)) from exc
-    meta_path = os.path.join(trace_dir, "run_meta.json")
-    if not os.path.exists(meta_path):
-        raise DataError(f"missing run_meta.json in {trace_dir}")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-
-    chain_files = sorted(
-        f for f in os.listdir(trace_dir)
-        if f.startswith("chain_") and f.endswith(".csv")
-    )
-    if not chain_files:
-        raise DataError(f"no chain files in {trace_dir}")
-    loaded = [traceio.load_trace(os.path.join(trace_dir, f))[0] for f in chain_files]
-    c_all = np.concatenate([t["c"] for t in loaded])
-    beta_all = np.concatenate([t["beta"] for t in loaded])
-    psi_all = np.concatenate([t["psi"] for t in loaded])
-    pi_all = (np.concatenate([t["pi"] for t in loaded])
-              if loaded[0]["pi"] is not None else None)
-    column_names = meta["column_names"]
-    occupied = meta["occupied"]
-    reference_x = np.asarray(meta["reference_x"], dtype=float)
-
-    from .diagnostics import hpdi as _hpdi
-    from .model import LINPRED_CLAMP
-    from .distributions import _nb_logpmf_raw
-
-    prev_rows, irr_rows, pmf_rows = [], [], []
-    y_grid = np.arange(meta["y_max"] + 51, dtype=float)
-    print("prevalence")
-    print("component  mean  hpdi_lo  hpdi_hi")
-    for j in range(c_all.shape[1]):
-        prev = c_all[:, j]
-        lo, hi = _hpdi(prev, 0.95)
-        occ = j in occupied
-        prev_rows.append([str(j), repr(float(prev.mean())), repr(lo), repr(hi),
-                          str(int(occ))])
-        if occ:
-            print(f"{j:>9d}  {_sig6(float(prev.mean()))}  {_sig6(lo)}  {_sig6(hi)}")
-    print()
-    print("incidence rate ratios")
-    print("component  covariate  irr  hpdi_lo  hpdi_hi  excludes_1")
-    for j in occupied:
-        eta_ref = np.clip(beta_all[:, j, :] @ reference_x, -LINPRED_CLAMP, LINPRED_CLAMP)
-        mu_ref = np.exp(eta_ref)
-        for dd, col in enumerate(column_names):
-            irr = np.exp(beta_all[:, j, dd])
-            lo, hi = _hpdi(irr, 0.95)
-            excl = not (lo <= 1.0 <= hi)
-            irr_rows.append([str(j), col, repr(float(irr.mean())), repr(lo),
-                             repr(hi), str(int(excl))])
-            print(f"{j:>9d}  {col}  {_sig6(float(irr.mean()))}  {_sig6(lo)}  "
-                  f"{_sig6(hi)}  {'yes' if excl else 'no'}")
-        pmf_draws = np.exp(_nb_logpmf_raw(
-            y_grid[np.newaxis, :], mu_ref[:, np.newaxis], psi_all[:, j, np.newaxis]))
-        if pi_all is not None:
-            pij = pi_all[:, j, np.newaxis]
-            pmf_draws = (1.0 - pij) * pmf_draws
-            pmf_draws[:, 0] += pij[:, 0]
-        pmf = pmf_draws.mean(axis=0)
-        for yv, p in enumerate(pmf):
-            pmf_rows.append([str(j), str(yv), repr(float(p))])
-
-    _write_csv(os.path.join(out_dir, "prevalence_table.csv"),
-               ["component", "mean", "hpdi_lo", "hpdi_hi", "occupied"], prev_rows)
-    _write_csv(os.path.join(out_dir, "irr_table.csv"),
-               ["component", "covariate", "mean", "hpdi_lo", "hpdi_hi", "excludes_one"],
-               irr_rows)
-    _write_csv(os.path.join(out_dir, "pmf_table.csv"),
-               ["component", "y", "probability"], pmf_rows)
+    summaries = component_summary(traces, meta["y_max"], meta["reference_x"],
+                                  meta["occupancy_threshold"])
+    os.makedirs(out_dir, exist_ok=True)
+    _write_tables(out_dir, summaries, meta["column_names"], REPORT_TABLES)
+    print("\n".join(_component_tables(summaries, meta["column_names"])))
+    occupied = [s.index for s in summaries if s.occupied]
 
     # Hard-assignment cross-tabs against declared categorical covariates.
     assign_path = os.path.join(trace_dir, "assignments.csv")
@@ -698,11 +659,11 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
+    except (DataError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    except DegenerateFitError as exc:
+        print(f"degenerate fit: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SamplerError as exc:
         print(f"sampler failure: {exc}", file=sys.stderr)

@@ -34,6 +34,12 @@ __all__ = [
 # occupied ordering.  Matches the default occupancy reporting threshold.
 EMPTY_WEIGHT_FLOOR = 0.01
 
+# Stored states evaluated across all chains: hard_assignments recomputes the
+# N x K responsibilities for each, component_summary the predictive pmf.
+HARD_ASSIGNMENT_STATES = 400
+PMF_STATES = 200
+HPDI_PROB = 0.95
+
 
 class DegenerateFitError(RuntimeError):
     """Raised when no component clears the occupancy threshold."""
@@ -48,27 +54,24 @@ class RelabeledTrace(Trace):
 
 def _relabel_one(trace: Trace, reference_x: np.ndarray,
                  weight_floor: float) -> RelabeledTrace:
-    s_count, k = trace.c.shape
     eta = np.einsum("skd,d->sk", trace.beta, reference_x)
     mu = np.exp(np.clip(eta, -LINPRED_CLAMP, LINPRED_CLAMP))
-    perms = np.empty((s_count, k), dtype=np.int64)
-    for s in range(s_count):
-        empty = trace.c[s] < weight_floor
-        # lexsort is stable: ties on (empty, mu, psi) keep original order.
-        perms[s] = np.lexsort((trace.psi[s], mu[s], empty))
-    return apply_permutations(trace, perms)
+    empty = trace.c < weight_floor
+    # lexsort is stable: ties on (empty, mu, psi) keep original order.
+    return apply_permutations(trace, np.lexsort((trace.psi, mu, empty), axis=-1))
 
 
 def apply_permutations(trace: Trace, perms: np.ndarray) -> RelabeledTrace:
     """Reorder every stored state by the given per-state permutations."""
-    inv = np.argsort(perms, axis=1)
-    z = np.take_along_axis(inv, trace.z.astype(np.int64), axis=1).astype(trace.z.dtype)
+    def permuted(a):
+        return None if a is None else np.take_along_axis(a, perms, axis=1)
+
     return RelabeledTrace(
-        c=np.take_along_axis(trace.c, perms, axis=1),
+        c=permuted(trace.c),
         beta=np.take_along_axis(trace.beta, perms[:, :, np.newaxis], axis=1),
-        psi=np.take_along_axis(trace.psi, perms, axis=1),
-        z=z,
-        pi=None if trace.pi is None else np.take_along_axis(trace.pi, perms, axis=1),
+        psi=permuted(trace.psi),
+        counts=permuted(trace.counts),
+        pi=permuted(trace.pi),
         accept_rates=trace.accept_rates,
         seed=trace.seed,
         chain_id=trace.chain_id,
@@ -182,18 +185,17 @@ def _strided_indices(length: int, budget: int) -> np.ndarray:
     return np.linspace(0, length - 1, budget).round().astype(int)
 
 
-def hard_assignments(traces, data: Dataset, spec: ModelSpec,
-                     max_states: int = 400) -> np.ndarray:
+def hard_assignments(traces, data: Dataset, spec: ModelSpec) -> np.ndarray:
     """Argmax component of the trace-averaged responsibilities per row.
 
     Responsibilities are recomputed from (c, beta, psi[, pi]) on a strided
-    subset of stored states (budget max_states across all chains); ties go
+    subset of stored states (HARD_ASSIGNMENT_STATES across all chains); ties go
     to the lower index.  Invariant to the order chains are supplied in.
     """
     from .sampler import _weighted_likelihood
 
     traces = sorted(traces, key=lambda t: t.chain_id)
-    per_chain = max(1, max_states // max(len(traces), 1))
+    per_chain = max(1, HARD_ASSIGNMENT_STATES // max(len(traces), 1))
     total = np.zeros((traces[0].k, data.n))
     count = 0
     for trace in traces:
@@ -208,11 +210,7 @@ def hard_assignments(traces, data: Dataset, spec: ModelSpec,
 
 def occupied_counts(trace: Trace) -> np.ndarray:
     """Number of components with at least one assigned observation, per state."""
-    k = trace.k
-    return np.array([
-        int(np.count_nonzero(np.bincount(trace.z[s].astype(np.int64), minlength=k)))
-        for s in range(len(trace))
-    ])
+    return np.count_nonzero(trace.counts, axis=1)
 
 
 @dataclass
@@ -229,23 +227,19 @@ class ComponentSummary:
     empirical_mode: int | None = None
 
 
-def component_summary(traces, data: Dataset, spec: ModelSpec,
-                      occupancy_threshold: float = 0.01,
-                      reference_x=None, prob: float = 0.95,
-                      assignments=None, max_pmf_states: int = 200):
+def component_summary(traces, y_max: int, reference_x,
+                      occupancy_threshold: float = 0.01):
     """Per-component posterior summaries from pooled relabeled traces.
 
-    Prevalence is the posterior mean weight; the IRR point estimate is the
-    posterior mean of exp(beta) (not exp of the posterior mean); the
-    predictive count mode scans the posterior-mean pmf at reference_x over
-    y in [0, max(y)+50].
+    Chains are pooled in chain-id order.  Prevalence is the posterior mean
+    weight; the IRR point estimate is the posterior mean of exp(beta) (not
+    exp of the posterior mean); the predictive pmf at reference_x over y in
+    [0, y_max + 50] averages PMF_STATES strided states, and the count mode
+    scans it.  empirical_mode is left for callers that hold the data.
     """
     from .distributions import _nb_logpmf_raw
 
     traces = sorted(traces, key=lambda t: t.chain_id)
-    if reference_x is None:
-        reference_x = data.X.mean(axis=0)
-    reference_x = np.asarray(reference_x, dtype=float)
     c_all = np.concatenate([t.c for t in traces])          # (S, K)
     beta_all = np.concatenate([t.beta for t in traces])    # (S, K, D)
     psi_all = np.concatenate([t.psi for t in traces])
@@ -253,23 +247,19 @@ def component_summary(traces, data: Dataset, spec: ModelSpec,
     s_all, k = c_all.shape
     d = beta_all.shape[2]
 
-    y_grid = np.arange(int(data.y.max()) + 51, dtype=float)
-    idx_pmf = _strided_indices(s_all, max_pmf_states)
-    eta_ref = np.clip(np.einsum("skd,d->sk", beta_all[idx_pmf], reference_x),
+    y_grid = np.arange(int(y_max) + 51, dtype=float)
+    idx_pmf = _strided_indices(s_all, PMF_STATES)
+    eta_ref = np.clip(np.einsum("skd,d->sk", beta_all[idx_pmf],
+                                np.asarray(reference_x, dtype=float)),
                       -LINPRED_CLAMP, LINPRED_CLAMP)
     mu_ref = np.exp(eta_ref)  # (Sp, K)
 
     summaries = []
-    any_occupied = False
     for j in range(k):
         prev = c_all[:, j]
         prev_mean = float(prev.mean())
-        occ = prev_mean >= occupancy_threshold
-        any_occupied = any_occupied or occ
         irr = np.exp(beta_all[:, j, :])  # (S, D)
-        irr_mean = irr.mean(axis=0)
-        irr_hpdi = np.array([hpdi(irr[:, dd], prob) for dd in range(d)])
-        excludes = ~((irr_hpdi[:, 0] <= 1.0) & (1.0 <= irr_hpdi[:, 1]))
+        irr_hpdi = np.array([hpdi(irr[:, dd], HPDI_PROB) for dd in range(d)])
         pmf_draws = np.exp(_nb_logpmf_raw(
             y_grid[np.newaxis, :], mu_ref[:, j:j + 1], psi_all[idx_pmf, j:j + 1]
         ))
@@ -281,23 +271,17 @@ def component_summary(traces, data: Dataset, spec: ModelSpec,
         # Zero-inflated variant: report the count mode with the zero mode
         # omitted, since the point mass at zero would otherwise swamp it.
         mode = int(np.argmax(pmf[1:]) + 1) if pi_all is not None else int(np.argmax(pmf))
-        emp_mode = None
-        if assignments is not None:
-            members = data.y[np.asarray(assignments) == j]
-            if members.size:
-                emp_mode = int(np.argmax(np.bincount(members)))
         summaries.append(ComponentSummary(
             index=j,
-            occupied=occ,
+            occupied=prev_mean >= occupancy_threshold,
             prevalence_mean=prev_mean,
-            prevalence_hpdi=hpdi(prev, prob),
-            irr_mean=irr_mean,
+            prevalence_hpdi=hpdi(prev, HPDI_PROB),
+            irr_mean=irr.mean(axis=0),
             irr_hpdi=irr_hpdi,
-            irr_excludes_one=excludes,
+            irr_excludes_one=~((irr_hpdi[:, 0] <= 1.0) & (1.0 <= irr_hpdi[:, 1])),
             count_mode=mode,
             pmf=pmf,
-            empirical_mode=emp_mode,
         ))
-    if not any_occupied:
+    if not any(s.occupied for s in summaries):
         raise DegenerateFitError("no component clears the occupancy threshold")
     return summaries

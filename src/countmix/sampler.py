@@ -84,7 +84,7 @@ class Trace:
     c: np.ndarray                 # (S, K)
     beta: np.ndarray              # (S, K, D)
     psi: np.ndarray               # (S, K)
-    z: np.ndarray                 # (S, N) small-int labels
+    counts: np.ndarray | None     # (S, K) rows per component; None if read from disk
     pi: np.ndarray | None         # (S, K) for zinb, else None
     accept_rates: dict = field(default_factory=dict)
     seed: int = 0
@@ -98,14 +98,16 @@ class Trace:
     def k(self) -> int:
         return self.c.shape[1]
 
-    def state_at(self, s: int) -> ParamState:
-        return ParamState(
-            c=self.c[s].copy(),
-            beta=self.beta[s].copy(),
-            psi=self.psi[s].copy(),
-            z=self.z[s].astype(np.int64),
-            pi=None if self.pi is None else self.pi[s].copy(),
-        )
+
+def _occupancy_weighted_rate(rates: np.ndarray, mean_counts: np.ndarray) -> float:
+    """Acceptance rate averaged over components, weighted by mean row count.
+
+    Rarely occupied components accept most prior-scale proposals, so the
+    unweighted mean says little about how the occupied ones mix.
+    """
+    per_component = rates.reshape(len(mean_counts), -1).mean(axis=1)
+    weighted = np.where(mean_counts > 0, per_component, 0.0) * mean_counts
+    return float(weighted.sum() / mean_counts.sum())
 
 
 def _weighted_likelihood(data: Dataset, spec: ModelSpec, c, beta, psi, pi) -> np.ndarray:
@@ -322,11 +324,10 @@ def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
     trials_psi = np.zeros(k)
 
     s_count = config.n_stored
-    z_dtype = np.int16 if k < 2 ** 15 else np.int32
     stored_c = np.empty((s_count, k))
     stored_beta = np.empty((s_count, k, d))
     stored_psi = np.empty((s_count, k))
-    stored_z = np.empty((s_count, data.n), dtype=z_dtype)
+    stored_counts = np.empty((s_count, k), dtype=np.int64)
     stored_pi = np.empty((s_count, k)) if spec.zero_inflated else None
 
     target = config.target_accept
@@ -355,7 +356,7 @@ def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
                 stored_c[s] = state.c
                 stored_beta[s] = state.beta
                 stored_psi[s] = state.psi
-                stored_z[s] = state.z
+                stored_counts[s] = np.bincount(state.z, minlength=k)
                 if stored_pi is not None:
                     stored_pi[s] = state.pi
                 s += 1
@@ -365,13 +366,17 @@ def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
     with np.errstate(invalid="ignore"):
         rate_beta = np.where(trials_beta > 0, accept_beta / np.maximum(trials_beta, 1), np.nan)
         rate_psi = np.where(trials_psi > 0, accept_psi / np.maximum(trials_psi, 1), np.nan)
+    # Weighted here, where the rates and the counts still share labels.
+    mean_counts = stored_counts.mean(axis=0)
     return Trace(
         c=stored_c,
         beta=stored_beta,
         psi=stored_psi,
-        z=stored_z,
+        counts=stored_counts,
         pi=stored_pi,
-        accept_rates={"beta": rate_beta, "psi": rate_psi},
+        accept_rates={"beta": rate_beta, "psi": rate_psi,
+                      "beta_weighted": _occupancy_weighted_rate(rate_beta, mean_counts),
+                      "psi_weighted": _occupancy_weighted_rate(rate_psi, mean_counts)},
         seed=config.master_seed,
         chain_id=chain_id,
         column_names=data.column_names,

@@ -120,6 +120,14 @@ class TestIngest:
             ingest(path)
         assert any("constant" in rec.message for rec in caplog.records)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_row_addressed(self, tmp_path, cell):
+        path = _write(tmp_path / "d.csv", f"y,x\n3,0.1\n2,{cell}\n")
+        with pytest.raises(DataError, match=rf"d\.csv:3: non-finite value '{cell}' in column 'x'"):
+            ingest(path)
+        assert run(["fit", "--input", path,
+                    "--out", str(tmp_path / "f")] + FIT_FLAGS) == EXIT_INPUT
+
     def test_non_numeric_cell(self, tmp_path):
         path = _write(tmp_path / "d.csv", "y,x\n3,oops\n")
         with pytest.raises(DataError, match="non-numeric"):
@@ -139,13 +147,13 @@ class TestIngest:
 class TestTraceIO:
     def _trace(self, zinb=False):
         gen = np.random.default_rng(2)
-        s, k, d, n = 25, 3, 2, 10
+        s, k, d = 25, 3, 2
         from countmix.sampler import Trace
         return Trace(
             c=gen.dirichlet(np.ones(k), size=s),
             beta=gen.normal(0, 1, size=(s, k, d)),
             psi=np.exp(gen.normal(0, 1, size=(s, k))),
-            z=gen.integers(0, k, size=(s, n)).astype(np.int16),
+            counts=None,
             pi=gen.uniform(0, 1, size=(s, k)) if zinb else None,
             chain_id=0,
             column_names=("intercept", "x1"),
@@ -318,6 +326,14 @@ class TestFit:
                    + FIT_FLAGS)
         assert code == EXIT_CONVERGENCE
 
+    def test_degenerate_fit_exit_code(self, small_fit, tmp_path, capsys):
+        sim_dir, _ = small_fit
+        code = run(["fit", "--input", os.path.join(sim_dir, "data.csv"),
+                    "--out", str(tmp_path / "f"), "--occupancy-threshold", "0.99"]
+                   + FIT_FLAGS)
+        assert code == EXIT_INPUT
+        assert "no component clears the occupancy threshold" in capsys.readouterr().err
+
     def test_single_chain_warns(self, small_fit, tmp_path, caplog):
         sim_dir, _ = small_fit
         flags = ["--kmax", "3", "--iters", "300", "--burnin", "150",
@@ -375,6 +391,46 @@ class TestReport:
         assert any(t == pytest.approx(100.0, abs=1e-9) for t in totals)
         for t in totals:
             assert t == pytest.approx(100.0, abs=1e-9) or t == 0.0
+
+    @pytest.mark.parametrize("model", ["nb", "zinb"])
+    def test_tables_equal_the_fits(self, tmp_path, model):
+        # Eleven chains: chain_10 must be pooled after chain_9, as in the fit.
+        sim_dir, fit_dir, out = (str(tmp_path / d) for d in ("sim", "fit", "rep"))
+        assert run(["simulate", "--model", model, "--n", "400", "--seed", "8",
+                    "--out", sim_dir]) == EXIT_OK
+        code = run(["fit", "--input", os.path.join(sim_dir, "data.csv"), "--model", model,
+                    "--kmax", "3", "--iters", "120", "--burnin", "60", "--chains", "11",
+                    "--seed", "4", "--out", fit_dir])
+        assert code in (EXIT_OK, EXIT_CONVERGENCE)
+        assert run(["report", "--traces", fit_dir, "--out", out]) == EXIT_OK
+        for fit_name, report_name in zip(cli.FIT_TABLES, cli.REPORT_TABLES):
+            with open(os.path.join(fit_dir, fit_name), "rb") as a, \
+                    open(os.path.join(out, report_name), "rb") as b:
+                assert a.read() == b.read(), report_name
+
+    def test_missing_chain_file_exit_code(self, small_fit, tmp_path):
+        import shutil
+        _, fit_dir = small_fit
+        broken = str(tmp_path / "broken")
+        shutil.copytree(fit_dir, broken)
+        os.remove(os.path.join(broken, "chain_1.csv"))
+        with open(os.path.join(broken, traceio.CHECKSUM_FILE)) as fh:
+            kept = [line for line in fh if not line.endswith("chain_1.csv\n")]
+        with open(os.path.join(broken, traceio.CHECKSUM_FILE), "w") as fh:
+            fh.writelines(kept)
+        assert run(["report", "--traces", broken]) == EXIT_INPUT
+
+    def test_degenerate_fit_exit_code(self, small_fit, tmp_path):
+        import shutil
+        _, fit_dir = small_fit
+        edited = str(tmp_path / "edited")
+        shutil.copytree(fit_dir, edited)
+        meta_path = os.path.join(edited, "run_meta.json")
+        meta = json.loads(open(meta_path).read())
+        meta["occupancy_threshold"] = 0.99
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh)
+        assert run(["report", "--traces", edited]) == EXIT_INPUT
 
     def test_corrupted_trace_exit_code(self, small_fit, tmp_path):
         import shutil

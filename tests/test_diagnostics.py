@@ -20,8 +20,8 @@ from countmix.model import (
     Dataset,
     Hyperparams,
     ModelSpec,
-    complete_log_likelihood,
     generate_synthetic,
+    loglik_matrix,
 )
 from countmix.sampler import SamplerConfig, Trace, run_chain
 
@@ -34,9 +34,22 @@ def _ordered_trace(rng, s=60, k=3, d=2, n=25, chain_id=0):
     beta[:, :, 1] = rng.normal(0, 0.1, size=(s, k, d - 1)).reshape(s, k)
     c = rng.dirichlet(np.full(k, 5.0), size=s)
     psi = np.exp(rng.normal(0, 0.2, size=(s, k)))
-    z = rng.integers(0, k, size=(s, n)).astype(np.int16)
-    return Trace(c=c, beta=beta, psi=psi, z=z, pi=None, chain_id=chain_id,
-                 column_names=("intercept", "x1"))
+    z = rng.integers(0, k, size=(s, n))
+    return Trace(c=c, beta=beta, psi=psi, counts=_counts(z, k), pi=None,
+                 chain_id=chain_id, column_names=("intercept", "x1"))
+
+
+def _counts(z, k):
+    """Per-state component row counts of an (S, N) label array."""
+    return (z[:, :, np.newaxis] == np.arange(k)).sum(axis=1)
+
+
+def _reversed(trace):
+    """The same trace with component labels j -> K - 1 - j in every state."""
+    return Trace(
+        c=trace.c[:, ::-1].copy(), beta=trace.beta[:, ::-1].copy(),
+        psi=trace.psi[:, ::-1].copy(), counts=trace.counts[:, ::-1].copy(),
+        pi=None, chain_id=0, column_names=trace.column_names)
 
 
 REF_X = np.array([1.0, 0.0])
@@ -55,53 +68,49 @@ class TestRelabel:
         perm = np.array([0, 2, 1])
         swapped = Trace(
             c=trace.c[:, perm], beta=trace.beta[:, perm], psi=trace.psi[:, perm],
-            z=np.argsort(perm)[trace.z].astype(np.int16), pi=None,
+            counts=trace.counts[:, perm], pi=None,
             chain_id=0, column_names=trace.column_names)
         (rel,) = relabel([swapped], reference_x=REF_X, weight_floor=0.0)
         np.testing.assert_array_equal(rel.c, trace.c)
         np.testing.assert_array_equal(rel.beta, trace.beta)
         np.testing.assert_array_equal(rel.psi, trace.psi)
-        np.testing.assert_array_equal(rel.z, trace.z)
+        np.testing.assert_array_equal(rel.counts, trace.counts)
 
     def test_idempotent(self, rng):
         trace = _ordered_trace(rng)
-        shuffled = Trace(
-            c=trace.c[:, ::-1].copy(), beta=trace.beta[:, ::-1].copy(),
-            psi=trace.psi[:, ::-1].copy(),
-            z=(2 - trace.z).astype(np.int16), pi=None, chain_id=0,
-            column_names=trace.column_names)
+        shuffled = _reversed(trace)
         (once,) = relabel([shuffled], reference_x=REF_X, weight_floor=0.0)
         (twice,) = relabel([once], reference_x=REF_X, weight_floor=0.0)
         np.testing.assert_array_equal(once.beta, twice.beta)
-        np.testing.assert_array_equal(once.z, twice.z)
+        np.testing.assert_array_equal(once.counts, twice.counts)
 
     def test_permutation_record_reproduces(self, rng):
         from countmix.diagnostics import apply_permutations
         trace = _ordered_trace(rng)
-        shuffled = Trace(
-            c=trace.c[:, ::-1].copy(), beta=trace.beta[:, ::-1].copy(),
-            psi=trace.psi[:, ::-1].copy(),
-            z=(2 - trace.z).astype(np.int16), pi=None, chain_id=0,
-            column_names=trace.column_names)
+        shuffled = _reversed(trace)
         (rel,) = relabel([shuffled], reference_x=REF_X, weight_floor=0.0)
         replay = apply_permutations(shuffled, rel.permutations)
         np.testing.assert_array_equal(replay.beta, rel.beta)
         np.testing.assert_array_equal(replay.c, rel.c)
-        np.testing.assert_array_equal(replay.z, rel.z)
+        np.testing.assert_array_equal(replay.counts, rel.counts)
 
     def test_relabeled_loglik_unchanged(self, rng, small_dataset):
         spec = ModelSpec("nb", Hyperparams(k_max=3))
         trace = _ordered_trace(rng, n=small_dataset.n)
-        shuffled = Trace(
-            c=trace.c[:, ::-1].copy(), beta=trace.beta[:, ::-1].copy(),
-            psi=trace.psi[:, ::-1].copy(),
-            z=(2 - trace.z).astype(np.int16), pi=None, chain_id=0,
-            column_names=trace.column_names)
+        shuffled = _reversed(trace)
         (rel,) = relabel([shuffled], reference_x=REF_X, weight_floor=0.0)
+
+        def mixture_loglik(t, s):
+            ll = loglik_matrix(small_dataset, t.beta[s], t.psi[s], None, spec) + np.log(t.c[s])
+            top = ll.max(axis=1)
+            return float(np.sum(top + np.log(np.exp(ll - top[:, np.newaxis]).sum(axis=1))))
+
         for s in range(0, len(trace), 13):
-            a = complete_log_likelihood(shuffled.state_at(s), small_dataset, spec)
-            b = complete_log_likelihood(rel.state_at(s), small_dataset, spec)
+            a = mixture_loglik(shuffled, s)
+            b = mixture_loglik(rel, s)
             assert b == pytest.approx(a, abs=1e-12 * max(1.0, abs(a)))
+            np.testing.assert_array_equal(rel.counts[s],
+                                          shuffled.counts[s, rel.permutations[s]])
 
     def test_requires_reference(self, rng):
         with pytest.raises(ValueError):
@@ -263,20 +272,18 @@ class TestHardAssignments:
         s = 30
         beta = np.full((s, 2, 1), 1.5)
         trace = Trace(c=np.full((s, 2), 0.5), beta=beta, psi=np.full((s, 2), 2.0),
-                      z=np.zeros((s, 2), dtype=np.int16), pi=None, chain_id=0)
+                      counts=None, pi=None, chain_id=0)
         assign = hard_assignments([trace], data, spec)
         np.testing.assert_array_equal(assign, [0, 0])
 
 
 class TestComponentSummary:
     def test_constant_beta_gives_unit_irr(self, rng):
-        data = Dataset(y=[4, 7, 2], X=np.ones((3, 1)), column_names=("intercept",))
-        spec = ModelSpec("nb", Hyperparams(k_max=2))
         s = 40
         trace = Trace(c=np.tile([0.6, 0.4], (s, 1)),
                       beta=np.zeros((s, 2, 1)), psi=np.ones((s, 2)),
-                      z=np.zeros((s, 3), dtype=np.int16), pi=None, chain_id=0)
-        summaries = component_summary([trace], data, spec)
+                      counts=None, pi=None, chain_id=0)
+        summaries = component_summary([trace], y_max=7, reference_x=np.ones(1))
         for summ in summaries:
             assert summ.irr_mean[0] == pytest.approx(1.0, abs=1e-12)
             lo, hi = summ.irr_hpdi[0]
@@ -285,7 +292,7 @@ class TestComponentSummary:
 
     def test_synthetic_recovery(self, separated_fit):
         data, _, spec, rel = separated_fit
-        summaries = component_summary(rel, data, spec)
+        summaries = component_summary(rel, int(data.y.max()), data.X.mean(axis=0))
         occupied = [s for s in summaries if s.occupied]
         assert len(occupied) == 2
         assert occupied[0].prevalence_mean == pytest.approx(0.4, abs=0.05)
@@ -296,24 +303,24 @@ class TestComponentSummary:
 
     def test_prevalences_sum_to_one(self, separated_fit):
         data, _, spec, rel = separated_fit
-        summaries = component_summary(rel, data, spec)
+        summaries = component_summary(rel, int(data.y.max()), data.X.mean(axis=0))
         total = sum(s.prevalence_mean for s in summaries)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_degenerate_fit_raises(self, rng):
-        data = Dataset(y=[4], X=np.ones((1, 1)), column_names=("intercept",))
-        spec = ModelSpec("nb", Hyperparams(k_max=2))
         s = 40
         trace = Trace(c=np.tile([0.5, 0.5], (s, 1)),
                       beta=np.zeros((s, 2, 1)), psi=np.ones((s, 2)),
-                      z=np.zeros((s, 1), dtype=np.int16), pi=None, chain_id=0)
+                      counts=None, pi=None, chain_id=0)
         with pytest.raises(DegenerateFitError):
-            component_summary([trace], data, spec, occupancy_threshold=0.9)
+            component_summary([trace], y_max=4, reference_x=np.ones(1),
+                              occupancy_threshold=0.9)
 
 
 class TestOccupiedCounts:
     def test_counts_match_unique_labels(self, rng):
-        trace = _ordered_trace(rng, s=10, n=30)
-        counts = occupied_counts(trace)
-        expected = [len(np.unique(trace.z[s])) for s in range(10)]
-        np.testing.assert_array_equal(counts, expected)
+        z = rng.integers(0, 6, size=(10, 8))
+        trace = Trace(c=np.full((10, 6), 1 / 6), beta=np.zeros((10, 6, 1)),
+                      psi=np.ones((10, 6)), counts=_counts(z, 6), pi=None)
+        expected = [len(np.unique(z[s])) for s in range(10)]
+        np.testing.assert_array_equal(occupied_counts(trace), expected)

@@ -16,6 +16,7 @@ from countmix.model import (
 )
 from countmix.sampler import (
     SamplerConfig,
+    _occupancy_weighted_rate,
     run_chain,
     run_chains,
     responsibilities,
@@ -415,7 +416,7 @@ class TestRunChain:
         np.testing.assert_array_equal(a.c, b.c)
         np.testing.assert_array_equal(a.beta, b.beta)
         np.testing.assert_array_equal(a.psi, b.psi)
-        np.testing.assert_array_equal(a.z, b.z)
+        np.testing.assert_array_equal(a.counts, b.counts)
 
     def test_trace_length_and_validity(self, two_component_truth):
         t = two_component_truth
@@ -427,7 +428,9 @@ class TestRunChain:
         trace = run_chain(spec, data, cfg, chain_id=0)
         assert len(trace) == (220 - 100) // 3
         for s in range(0, len(trace), 7):
-            trace.state_at(s).validate(data)
+            # Rows sorted by label reproduce the stored per-component counts.
+            ParamState(c=trace.c[s], beta=trace.beta[s], psi=trace.psi[s],
+                       z=np.repeat(np.arange(trace.k), trace.counts[s])).validate(data)
 
     def test_single_component_recovery(self):
         beta_true = np.array([[math.log(12.0), 0.4]])
@@ -460,6 +463,28 @@ class TestRunChain:
         trace = run_chain(spec, data, self.CFG, chain_id=0)
         assert trace.pi is not None
         assert np.all((trace.pi >= 0) & (trace.pi <= 1))
+
+
+class TestOccupancyWeightedRate:
+    def test_rarely_occupied_component_barely_counts(self):
+        rate = _occupancy_weighted_rate(np.array([0.3, 0.9]), np.array([990.0, 10.0]))
+        assert rate == pytest.approx(0.306, abs=1e-12)
+
+    def test_never_occupied_component_is_ignored(self):
+        rates = np.array([[0.2, 0.4], [np.nan, np.nan]])  # (K, D) beta rates
+        assert _occupancy_weighted_rate(rates, np.array([50.0, 0.0])) == pytest.approx(0.3)
+
+    def test_run_chain_weights_by_stored_counts(self, two_component_truth):
+        t = two_component_truth
+        data, _ = generate_synthetic(t["c"], t["beta"], t["psi"], 200,
+                                     t["covariates"], seed=8)
+        spec = ModelSpec("nb", Hyperparams(k_max=4))
+        cfg = SamplerConfig(iterations=300, burn_in=150, chains=1, master_seed=42)
+        trace = run_chain(spec, data, cfg, chain_id=0)
+        mean_counts = trace.counts.mean(axis=0)
+        for key in ("beta", "psi"):
+            assert trace.accept_rates[f"{key}_weighted"] == _occupancy_weighted_rate(
+                trace.accept_rates[key], mean_counts)
 
 
 class TestRunChains:
