@@ -241,18 +241,12 @@ def ingest(path: str, categorical: dict | None = None, outcome: str = "y") -> Da
 
 def export_dataset(data: Dataset, path: str, outcome: str = "y"):
     """Write a Dataset back to csv (intercept column omitted)."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join([outcome] + list(data.column_names[1:])) + "\n")
-        for i in range(data.n):
-            cells = [str(int(data.y[i]))] + [repr(float(v)) for v in data.X[i, 1:]]
-            fh.write(",".join(cells) + "\n")
-
-
-def _write_csv(path: str, header: list[str], rows):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    traceio.write_csv(
+        path,
+        [outcome] + list(data.column_names[1:]),
+        ([str(yv)] + [repr(v) for v in row]
+         for yv, row in zip(data.y.tolist(), data.X[:, 1:].tolist())),
+    )
 
 
 def read_csv_table(path: str):
@@ -374,7 +368,7 @@ def _write_tables(out_dir, summaries, column_names, filenames):
     """Write the prevalence, IRR and pmf tables under the given file names."""
     prevalence, irr, pmf = (os.path.join(out_dir, name) for name in filenames)
     occupied = [s for s in summaries if s.occupied]
-    _write_csv(
+    traceio.write_csv(
         prevalence,
         ["component", "mean", "hpdi_lo", "hpdi_hi", "occupied"],
         (
@@ -383,7 +377,7 @@ def _write_tables(out_dir, summaries, column_names, filenames):
             for s in summaries
         ),
     )
-    _write_csv(
+    traceio.write_csv(
         irr,
         ["component", "covariate", "mean", "hpdi_lo", "hpdi_hi", "excludes_one"],
         (
@@ -393,7 +387,7 @@ def _write_tables(out_dir, summaries, column_names, filenames):
             for s in occupied for dd, col in enumerate(column_names)
         ),
     )
-    _write_csv(
+    traceio.write_csv(
         pmf,
         ["component", "y", "probability"],
         ([str(s.index), str(yv), repr(float(p))] for s in occupied for yv, p in enumerate(s.pmf)),
@@ -414,7 +408,7 @@ def _write_fit_outputs(out_dir, data, spec, sampler_cfg, settings, relabeled,
 
     cat_raw = getattr(data, "categorical_raw", {})
     cat_cols = sorted(cat_raw)
-    _write_csv(
+    traceio.write_csv(
         os.path.join(out_dir, "assignments.csv"),
         ["row", "component"] + cat_cols,
         (
@@ -596,8 +590,8 @@ def cmd_report(args) -> int:
                           for lev in levels]
                 rows.append([str(j)] + [repr(s) for s in shares])
                 print(f"{j:>9d}  " + "  ".join(_sig6(s) for s in shares))
-            _write_csv(os.path.join(out_dir, f"crosstab_{col}.csv"),
-                       ["component"] + levels, rows)
+            traceio.write_csv(os.path.join(out_dir, f"crosstab_{col}.csv"),
+                              ["component"] + levels, rows)
     return EXIT_OK
 
 

@@ -55,7 +55,6 @@ class SamplerConfig:
     thin: int = 1
     chains: int = 4
     master_seed: int = 0
-    adapt_window: int | None = None  # sweeps of adaptation; defaults to burn_in
     target_accept: float = 0.3
 
     def __post_init__(self):
@@ -65,12 +64,6 @@ class SamplerConfig:
             raise ValueError("thin and chains must be >= 1, burn_in >= 0")
         if not 0.0 < self.target_accept < 1.0:
             raise ValueError("target_accept must lie in (0, 1)")
-        if self.adapt_window is not None and self.adapt_window > self.burn_in:
-            raise ValueError("adaptation must be confined to burn-in")
-
-    @property
-    def adapt_sweeps(self) -> int:
-        return self.burn_in if self.adapt_window is None else self.adapt_window
 
     @property
     def n_stored(self) -> int:
@@ -331,7 +324,6 @@ def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
     stored_pi = np.empty((s_count, k)) if spec.zero_inflated else None
 
     target = config.target_accept
-    adapt_until = config.adapt_sweeps
     s = 0
     for sweep in range(1, config.iterations + 1):
         update_assignments(state, data, spec, rng)
@@ -340,7 +332,7 @@ def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
         state.c = update_weights(state.z, spec.hyper, rng)
         flags_b = update_coefficients(state, data, spec, np.exp(log_scale_beta), rng)
         flags_p = update_precisions(state, data, spec, np.exp(log_scale_psi), rng)
-        if sweep <= adapt_until:
+        if sweep <= config.burn_in:
             gain = sweep ** -0.6
             delta_b = np.where(np.isnan(flags_b), 0.0, (flags_b - target) * gain)
             delta_p = np.where(np.isnan(flags_p), 0.0, (flags_p - target) * gain)

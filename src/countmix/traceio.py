@@ -1,17 +1,22 @@
-"""Columnar text persistence for sampled traces.
+"""CSV text for every file countmix emits, and persistence of sampled traces.
 
-One file per chain, long format ``param,iteration,value`` with full
-binary64 reprs, plus a sha256 checksum manifest so corrupted files are
-caught at report time.
+``write_csv`` writes every table: fields are quoted only where they hold a
+comma, a quote or a newline.  Each chain is one file in wide format: a
+header row of parameter names (``c[j]``, ``beta[j].<column>``, ``psi[j]``,
+then ``pi[j]`` for the zero-inflated model) and one row of full binary64
+reprs per stored state.  A sha256 checksum manifest catches corrupted files
+at report time.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 import os
 
 import numpy as np
 
 __all__ = [
+    "write_csv",
     "save_trace",
     "load_trace",
     "write_checksums",
@@ -23,7 +28,15 @@ CHECKSUM_FILE = "checksums.txt"
 
 
 class ChecksumError(RuntimeError):
-    """A persisted trace file fails its recorded checksum."""
+    """A persisted trace file fails its recorded checksum or cannot be parsed."""
+
+
+def write_csv(path: str, header, rows):
+    """Write a header and rows as CSV; float fields are written as their repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _param_names(k: int, d: int, column_names, zero_inflated: bool):
@@ -36,11 +49,12 @@ def _param_names(k: int, d: int, column_names, zero_inflated: bool):
 
 
 def save_trace(trace, path: str):
-    """Write one chain's scalar parameters in long format.
+    """Write one chain's scalar parameters, one row per stored state.
 
-    The per-observation assignment vector z is not persisted (it would
-    dwarf the scalar parameters in a text format); reports that need
-    assignments use the assignments file written at fit time.
+    The header names the columns (see ``_param_names``); values are full
+    binary64 reprs, so ``load_trace`` reads them back exactly.  Only the
+    scalar parameters are persisted; reports that need hard assignments
+    read the assignments file written at fit time.
     """
     s_count, k = trace.c.shape
     d = trace.beta.shape[2]
@@ -49,51 +63,39 @@ def save_trace(trace, path: str):
     if trace.pi is not None:
         blocks.append(trace.pi)
     values = np.concatenate(blocks, axis=1)
-    names = _param_names(k, d, cols, trace.pi is not None)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("param,iteration,value\n")
-        for j, name in enumerate(names):
-            col = values[:, j]
-            for it in range(s_count):
-                fh.write(f"{name},{it},{float(col[it])!r}\n")
+    write_csv(path, _param_names(k, d, cols, trace.pi is not None),
+              values.tolist())
 
 
 def load_trace(path: str):
     """Read a persisted chain back into arrays keyed c/beta/psi/pi.
 
-    Returns (arrays, column_names); beta has shape (S, K, D).
+    Returns (arrays, column_names); beta has shape (S, K, D).  Raises
+    ChecksumError when the header is not one ``save_trace`` writes or a row
+    does not hold one number per column.
     """
-    per_param: dict[str, list[float]] = {}
-    order: list[str] = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "param,iteration,value":
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), [])
+        k = sum(name.startswith("c[") for name in header)
+        d = sum(name.startswith("beta[0].") for name in header)
+        zinb = any(name.startswith("pi[") for name in header)
+        cols = tuple(name[len("beta[0]."):] for name in header[k:k + d])
+        if k == 0 or header != _param_names(k, d, cols, zinb):
             raise ChecksumError(f"unrecognized trace header in {path}")
-        for line in fh:
-            name, _, value = line.rstrip("\n").split(",", 2)
-            if name not in per_param:
-                per_param[name] = []
-                order.append(name)
-            per_param[name].append(float(value))
-    ks = sorted(int(n[2:-1]) for n in order if n.startswith("c["))
-    k = len(ks)
-    beta_names = [n for n in order if n.startswith("beta[")]
-    col_names = []
-    for n in beta_names:
-        if n.startswith("beta[0]."):
-            col_names.append(n.split(".", 1)[1])
-    d = len(col_names)
-    s_count = len(per_param["c[0]"])
-    c = np.column_stack([per_param[f"c[{j}]"] for j in range(k)])
-    beta = np.empty((s_count, k, d))
-    for j in range(k):
-        for dd, col in enumerate(col_names):
-            beta[:, j, dd] = per_param[f"beta[{j}].{col}"]
-    psi = np.column_stack([per_param[f"psi[{j}]"] for j in range(k)])
-    pi = None
-    if f"pi[0]" in per_param:
-        pi = np.column_stack([per_param[f"pi[{j}]"] for j in range(k)])
-    return {"c": c, "beta": beta, "psi": psi, "pi": pi}, tuple(col_names)
+        try:
+            values = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ChecksumError(f"malformed trace file {path}: {exc}") from None
+    if values.shape[1] != len(header):
+        raise ChecksumError(f"malformed trace file {path}: {values.shape[1]} "
+                            f"values per row, header names {len(header)}")
+    # Contiguous copies, as the sampler stores them, so that sums over the
+    # loaded chains run in the same order as over the fit's.
+    c, beta, psi, pi = (np.ascontiguousarray(block) for block in
+                        np.split(values, [k, k * (d + 1), k * (d + 2)], axis=1))
+    arrays = {"c": c, "beta": beta.reshape(len(values), k, d), "psi": psi,
+              "pi": pi if zinb else None}
+    return arrays, cols
 
 
 def _sha256(path: str) -> str:

@@ -1,9 +1,14 @@
 """End-to-end tests for the CLI: ingestion, persistence, exit codes."""
+import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from countmix import cli, traceio
 from countmix.cli import (
@@ -19,7 +24,7 @@ from countmix.cli import (
     read_csv_table,
     run,
 )
-from countmix.model import CovariateColumn, generate_synthetic
+from countmix.model import CovariateColumn, Dataset, generate_synthetic
 from countmix.sampler import SamplerError
 
 
@@ -142,6 +147,24 @@ class TestIngest:
         export_dataset(data, str(path))
         again = ingest(str(path))
         assert again == data
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_any_names(self, tmp_path_factory, data):
+        name = st.text(st.sampled_from('ab ,"=\'é') | st.characters(
+            blacklist_categories=("Cc", "Cs")), min_size=1, max_size=8).filter(
+            lambda s: s == s.strip() and s != "y")
+        names = data.draw(st.lists(name, min_size=1, max_size=4, unique=True))
+        n = data.draw(st.integers(1, 6))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        X = np.array(data.draw(st.lists(st.lists(finite, min_size=len(names),
+                                                 max_size=len(names)),
+                                        min_size=n, max_size=n)))
+        y = data.draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n))
+        dataset = Dataset(y, np.column_stack([np.ones(n), X]), ["intercept"] + names)
+        path = str(tmp_path_factory.mktemp("rt") / "export.csv")
+        export_dataset(dataset, path)
+        assert ingest(path) == dataset
 
 
 class TestTraceIO:
@@ -441,6 +464,65 @@ class TestReport:
             fh.write("tampered\n")
         assert run(["report", "--traces", broken]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("fault", ["header", "ragged", "short"])
+    def test_malformed_chain_file_exit_code(self, small_fit, tmp_path, capsys, fault):
+        import shutil
+        _, fit_dir = small_fit
+        broken = str(tmp_path / "broken")
+        shutil.copytree(fit_dir, broken)
+        path = os.path.join(broken, "chain_1.csv")
+        with open(path) as fh:
+            lines = fh.readlines()
+        if fault == "header":
+            lines[0] = lines[0].replace("psi[0]", "phi[0]")
+        elif fault == "ragged":
+            lines[3] = lines[3].rsplit(",", 1)[0] + "\n"
+        else:
+            lines[1:] = [line.rsplit(",", 1)[0] + "\n" for line in lines[1:]]
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        traceio.write_checksums(broken, ["chain_0.csv", "chain_1.csv"])
+        traceio.verify_checksums(broken)
+        capsys.readouterr()
+        assert run(["report", "--traces", broken]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "chain_1.csv" in err and "Traceback" not in err
+
+    def test_names_with_commas_and_quotes(self, tmp_path):
+        gen = np.random.default_rng(21)
+        n = 300
+        site = gen.choice(["north,east", 'o"hare', "south"], size=n)
+        dose = gen.normal(size=n)
+        y = np.where(gen.random(n) < 0.5, gen.poisson(2.0, n), gen.poisson(30.0, n))
+        lines = ["y\tdose,mg\tsite"] + [f"{y[i]}\t{float(dose[i])!r}\t{site[i]}" for i in range(n)]
+        path = _write(tmp_path / "d.tsv", "\n".join(lines) + "\n")
+        fit_dir, out = str(tmp_path / "fit"), str(tmp_path / "rep")
+        code = run(["fit", "--input", path, "--categorical", "site=south",
+                    "--out", fit_dir, "--kmax", "3", "--iters", "400",
+                    "--burnin", "200", "--chains", "2", "--seed", "5"])
+        assert code in (EXIT_OK, EXIT_CONVERGENCE)
+        assert run(["report", "--traces", fit_dir, "--out", out]) == EXIT_OK
+        expected = {"intercept", "dose,mg", "site=north,east", 'site=o"hare'}
+        for table in (os.path.join(fit_dir, "irr_forest.csv"),
+                      os.path.join(out, "irr_table.csv")):
+            with open(table, newline="") as fh:
+                assert {row["covariate"] for row in csv.DictReader(fh)} == expected
+        with open(os.path.join(out, "crosstab_site.csv"), newline="") as fh:
+            header = next(csv.reader(fh))
+        assert header == ["component", "north,east", 'o"hare', "south"]
+        _, cols = traceio.load_trace(os.path.join(fit_dir, "chain_0.csv"))
+        assert cols == ("intercept", "dose,mg", "site=north,east", 'site=o"hare')
+
     def test_missing_meta_exit_code(self, tmp_path):
         os.makedirs(tmp_path / "empty_dir", exist_ok=True)
         assert run(["report", "--traces", str(tmp_path / "empty_dir")]) == EXIT_INPUT
+
+
+def test_cli_import_is_numpy_only():
+    code = ("import sys, countmix.cli; "
+            "print(sorted({'scipy', 'mpmath', 'pandas'} & "
+            "{m.split('.')[0] for m in sys.modules}))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

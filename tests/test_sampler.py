@@ -32,14 +32,12 @@ class TestSamplerConfig:
     def test_defaults(self):
         cfg = SamplerConfig()
         assert cfg.n_stored == 5000
-        assert cfg.adapt_sweeps == cfg.burn_in
 
     @pytest.mark.parametrize("kwargs", [
         {"iterations": 10, "burn_in": 10},
         {"thin": 0},
         {"chains": 0},
         {"target_accept": 1.5},
-        {"iterations": 100, "burn_in": 10, "adapt_window": 50},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
