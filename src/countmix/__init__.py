@@ -5,24 +5,14 @@ infers the number of occupied components from the data, and reports
 prevalences, incidence rate ratios, and HPD intervals.
 """
 
-from .distributions import (
-    log_gamma,
-    negbin_log_pmf,
-    sample_categorical,
-    sample_dirichlet,
-    sample_negbin,
-    zinb_log_pmf,
-)
+from .distributions import log_gamma, sample_dirichlet, sample_negbin
 from .model import (
     CovariateColumn,
     Dataset,
     Hyperparams,
     ModelSpec,
     ParamState,
-    complete_log_likelihood,
-    component_mean,
     generate_synthetic,
-    log_prior,
 )
 from .sampler import SamplerConfig, SamplerError, Trace, run_chain, run_chains
 from .diagnostics import (

@@ -13,11 +13,13 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 
 import numpy as np
 
 from .diagnostics import (
+    HPDI_MIN_SAMPLES,
     DegenerateFitError,
     component_summary,
     hard_assignments,
@@ -142,6 +144,11 @@ def _parse_categorical(spec_str: str) -> dict:
 # ---------------------------------------------------------------------------
 # ingestion
 
+# C0 and C1 control characters: a bare carriage return in a column name, or
+# in a category level that names a dummy column, would not survive the CSV
+# files a fit writes.
+_CONTROL_CHAR = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+
 
 def ingest(path: str, categorical: dict | None = None, outcome: str = "y") -> Dataset:
     """Read a delimited table into a Dataset.
@@ -233,6 +240,9 @@ def ingest(path: str, categorical: dict | None = None, outcome: str = "y") -> Da
                 log.warning("column %r is constant", h)
             columns.append(parsed)
             names.append(h)
+    for name in header + names:
+        if _CONTROL_CHAR.search(name):
+            raise DataError(f"{path}: column name {name!r} holds a control character")
     data = Dataset(y=y, X=np.column_stack(columns), column_names=names)
     data.categorical_raw = cat_raw
     log.info("ingested %d rows, columns: %s", data.n, ", ".join(names))
@@ -343,6 +353,12 @@ def _fit_settings(args):
         master_seed=_resolve(args.seed, config, "seed", 0, int),
         target_accept=_resolve(args.target_accept, config, "target_accept", 0.3, float),
     )
+    # HPD intervals need HPDI_MIN_SAMPLES pooled states and R-hat 4 per chain.
+    stored, chains = sampler_cfg.n_stored, sampler_cfg.chains
+    if stored * chains < HPDI_MIN_SAMPLES or (chains > 1 and stored < 4):
+        raise DataError(f"the fit would store {stored} states per chain, {stored * chains} "
+                        f"in all; it needs at least {HPDI_MIN_SAMPLES} in all and, with two "
+                        "or more chains, 4 per chain")
     return settings, ModelSpec(variant=settings["variant"], hyper=hyper), sampler_cfg
 
 

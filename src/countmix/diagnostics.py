@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, LINPRED_CLAMP, ModelSpec
-from .sampler import Trace
+from .distributions import _log_gamma_raw
+from .model import Dataset, LINPRED_CLAMP, ModelSpec, _nb_eta_terms, _nb_table
+from .sampler import Trace, _weighted_likelihood
 
 __all__ = [
     "RelabeledTrace",
@@ -39,6 +40,7 @@ EMPTY_WEIGHT_FLOOR = 0.01
 HARD_ASSIGNMENT_STATES = 400
 PMF_STATES = 200
 HPDI_PROB = 0.95
+HPDI_MIN_SAMPLES = 20
 
 
 class DegenerateFitError(RuntimeError):
@@ -73,7 +75,6 @@ def apply_permutations(trace: Trace, perms: np.ndarray) -> RelabeledTrace:
         counts=permuted(trace.counts),
         pi=permuted(trace.pi),
         accept_rates=trace.accept_rates,
-        seed=trace.seed,
         chain_id=trace.chain_id,
         column_names=trace.column_names,
         permutations=perms,
@@ -99,23 +100,12 @@ def relabel(traces, reference_x=None, data: Dataset | None = None,
     return [_relabel_one(t, reference_x, weight_floor) for t in traces]
 
 
-def _split_halves(series_list):
-    halves = []
-    for x in series_list:
-        x = np.asarray(x, dtype=float)
-        n = (len(x) // 2) * 2
-        halves.append(x[: n // 2])
-        halves.append(x[n // 2: n])
-    return halves
-
-
-def rhat(traces, scalar_extractor=None, return_flag: bool = False):
+def rhat(traces, scalar_extractor=None):
     """Split-chain potential scale reduction for one scalar.
 
     ``traces`` may be Trace objects (with scalar_extractor mapping each to
     a 1-D series) or plain 1-D arrays.  Returns a float >= 1 up to
-    floating error; 1.0 with a degenerate flag when every within-chain
-    variance is zero.
+    floating error; 1.0 when every within-chain variance is zero.
     """
     if scalar_extractor is not None:
         series = [np.asarray(scalar_extractor(t), dtype=float) for t in traces]
@@ -123,23 +113,21 @@ def rhat(traces, scalar_extractor=None, return_flag: bool = False):
         series = [np.asarray(t, dtype=float) for t in traces]
     if len(series) < 2 or any(len(x) < 4 for x in series):
         raise ValueError("rhat needs >= 2 chains of length >= 4")
-    halves = _split_halves(series)
+    halves = [h for x in series for h in np.split(x[: len(x) // 2 * 2], 2)]
     n = min(len(h) for h in halves)
     halves = np.stack([h[:n] for h in halves])
     within = halves.var(axis=1, ddof=1).mean()
     between = n * halves.mean(axis=1).var(ddof=1)
     if within == 0.0:
-        return (1.0, True) if return_flag else 1.0
-    value = float(np.sqrt(((n - 1) / n * within + between / n) / within))
-    return (value, False) if return_flag else value
+        return 1.0
+    return float(np.sqrt(((n - 1) / n * within + between / n) / within))
 
 
-def ess(samples, return_flag: bool = False):
+def ess(samples):
     """Effective sample size via Geyer's initial positive sequence.
 
     Pairs of autocorrelations are summed while positive; the result is
-    clipped to 1.5 * N.  A constant series reports N with a degenerate
-    flag.
+    clipped to 1.5 * N.  A constant series reports N.
     """
     x = np.asarray(samples, dtype=float)
     n = len(x)
@@ -147,7 +135,7 @@ def ess(samples, return_flag: bool = False):
         raise ValueError("ess needs at least 8 samples")
     centered = x - x.mean()
     if np.all(centered == 0.0):
-        return (float(n), True) if return_flag else float(n)
+        return float(n)
     nfft = 1 << (2 * n - 1).bit_length()
     f = np.fft.rfft(centered, nfft)
     acov = np.fft.irfft(f * np.conj(f), nfft)[:n].real / n
@@ -161,22 +149,26 @@ def ess(samples, return_flag: bool = False):
         tau += 2.0 * pair
         m += 1
     tau = max(tau - 1.0, 1.0 / 1.5)
-    value = float(min(n / tau, 1.5 * n))
-    return (value, False) if return_flag else value
+    return float(min(n / tau, 1.5 * n))
 
 
 def hpdi(samples, prob: float):
-    """Shortest contiguous interval of sorted samples holding mass prob."""
+    """Shortest contiguous interval of sorted samples holding mass prob.
+
+    Intervals run along axis 0: 1-D samples give two floats, an (S, ...)
+    array gives (lo, hi) arrays of shape samples.shape[1:].
+    """
     if not 0.0 < prob < 1.0:
         raise ValueError("prob must lie in (0, 1)")
-    x = np.sort(np.asarray(samples, dtype=float))
+    x = np.sort(np.asarray(samples, dtype=float), axis=0)
     n = len(x)
-    if n < 20:
-        raise ValueError("hpdi needs at least 20 samples")
+    if n < HPDI_MIN_SAMPLES:
+        raise ValueError(f"hpdi needs at least {HPDI_MIN_SAMPLES} samples")
     step = min(int(np.ceil(prob * n)), n - 1)
-    widths = x[step:] - x[: n - step]
-    i = int(np.argmin(widths))  # first minimum on ties
-    return float(x[i]), float(x[i + step])
+    i = np.argmin(x[step:] - x[: n - step], axis=0)[np.newaxis]  # first minimum on ties
+    lo = np.take_along_axis(x, i, axis=0)[0]
+    hi = np.take_along_axis(x, i + step, axis=0)[0]
+    return (float(lo), float(hi)) if x.ndim == 1 else (lo, hi)
 
 
 def _strided_indices(length: int, budget: int) -> np.ndarray:
@@ -192,8 +184,6 @@ def hard_assignments(traces, data: Dataset, spec: ModelSpec) -> np.ndarray:
     subset of stored states (HARD_ASSIGNMENT_STATES across all chains); ties go
     to the lower index.  Invariant to the order chains are supplied in.
     """
-    from .sampler import _weighted_likelihood
-
     traces = sorted(traces, key=lambda t: t.chain_id)
     per_chain = max(1, HARD_ASSIGNMENT_STATES // max(len(traces), 1))
     total = np.zeros((traces[0].k, data.n))
@@ -227,6 +217,29 @@ class ComponentSummary:
     empirical_mode: int | None = None
 
 
+def _predictive_pmf(beta, psi, pi, reference_x, y_max: int) -> np.ndarray:
+    """(K, G) predictive pmf at reference_x over y in [0, y_max + 50].
+
+    Averages the given states, each evaluated as one (K, G) table through
+    the sweep's NB kernel (``_nb_table`` + ``_nb_eta_terms``), so memory
+    stays at a few (K, G) arrays whatever the number of states.
+    """
+    y = np.arange(int(y_max) + 51, dtype=float)
+    log_gamma_y1 = _log_gamma_raw(y + 1.0)
+    eta = np.einsum("skd,d->sk", beta, np.asarray(reference_x, dtype=float))
+    total = np.zeros((beta.shape[1], y.size))
+    for s in range(len(beta)):
+        pmf = _nb_table(y, log_gamma_y1, psi[s])
+        pmf += _nb_eta_terms(y, np.broadcast_to(eta[s, :, np.newaxis], pmf.shape),
+                             psi[s, :, np.newaxis])
+        np.exp(pmf, out=pmf)
+        if pi is not None:
+            pmf *= 1.0 - pi[s, :, np.newaxis]
+            pmf[:, 0] += pi[s]
+        total += pmf
+    return total / len(beta)
+
+
 def component_summary(traces, y_max: int, reference_x,
                       occupancy_threshold: float = 0.01):
     """Per-component posterior summaries from pooled relabeled traces.
@@ -237,51 +250,39 @@ def component_summary(traces, y_max: int, reference_x,
     [0, y_max + 50] averages PMF_STATES strided states, and the count mode
     scans it.  empirical_mode is left for callers that hold the data.
     """
-    from .distributions import _nb_logpmf_raw
-
     traces = sorted(traces, key=lambda t: t.chain_id)
     c_all = np.concatenate([t.c for t in traces])          # (S, K)
     beta_all = np.concatenate([t.beta for t in traces])    # (S, K, D)
     psi_all = np.concatenate([t.psi for t in traces])
     pi_all = None if traces[0].pi is None else np.concatenate([t.pi for t in traces])
-    s_all, k = c_all.shape
-    d = beta_all.shape[2]
 
-    y_grid = np.arange(int(y_max) + 51, dtype=float)
-    idx_pmf = _strided_indices(s_all, PMF_STATES)
-    eta_ref = np.clip(np.einsum("skd,d->sk", beta_all[idx_pmf],
-                                np.asarray(reference_x, dtype=float)),
-                      -LINPRED_CLAMP, LINPRED_CLAMP)
-    mu_ref = np.exp(eta_ref)  # (Sp, K)
-
-    summaries = []
-    for j in range(k):
-        prev = c_all[:, j]
-        prev_mean = float(prev.mean())
-        irr = np.exp(beta_all[:, j, :])  # (S, D)
-        irr_hpdi = np.array([hpdi(irr[:, dd], HPDI_PROB) for dd in range(d)])
-        pmf_draws = np.exp(_nb_logpmf_raw(
-            y_grid[np.newaxis, :], mu_ref[:, j:j + 1], psi_all[idx_pmf, j:j + 1]
-        ))
-        if pi_all is not None:
-            pi_j = pi_all[idx_pmf, j:j + 1]
-            pmf_draws = (1.0 - pi_j) * pmf_draws
-            pmf_draws[:, 0] += pi_j[:, 0]
-        pmf = pmf_draws.mean(axis=0)
-        # Zero-inflated variant: report the count mode with the zero mode
-        # omitted, since the point mass at zero would otherwise swamp it.
-        mode = int(np.argmax(pmf[1:]) + 1) if pi_all is not None else int(np.argmax(pmf))
-        summaries.append(ComponentSummary(
+    # One contiguous row per component: numpy sums each pairwise, as it does a
+    # 1-D series, where a mean over axis 0 would add the states one by one.
+    prev_mean = np.ascontiguousarray(c_all.T).mean(axis=1)
+    prev_lo, prev_hi = hpdi(c_all, HPDI_PROB)
+    irr = np.exp(beta_all)
+    irr_mean = irr.mean(axis=0)                             # (K, D)
+    irr_hpdi = np.stack(hpdi(irr, HPDI_PROB), axis=-1)      # (K, D, 2)
+    idx = _strided_indices(len(c_all), PMF_STATES)
+    pmf = _predictive_pmf(beta_all[idx], psi_all[idx],
+                          None if pi_all is None else pi_all[idx], reference_x, y_max)
+    # Zero-inflated variant: report the count mode with the zero mode
+    # omitted, since the point mass at zero would otherwise swamp it.
+    mode = np.argmax(pmf[:, 1:], axis=1) + 1 if pi_all is not None else np.argmax(pmf, axis=1)
+    summaries = [
+        ComponentSummary(
             index=j,
-            occupied=prev_mean >= occupancy_threshold,
-            prevalence_mean=prev_mean,
-            prevalence_hpdi=hpdi(prev, HPDI_PROB),
-            irr_mean=irr.mean(axis=0),
-            irr_hpdi=irr_hpdi,
-            irr_excludes_one=~((irr_hpdi[:, 0] <= 1.0) & (1.0 <= irr_hpdi[:, 1])),
-            count_mode=mode,
-            pmf=pmf,
-        ))
+            occupied=bool(prev_mean[j] >= occupancy_threshold),
+            prevalence_mean=float(prev_mean[j]),
+            prevalence_hpdi=(float(prev_lo[j]), float(prev_hi[j])),
+            irr_mean=irr_mean[j],
+            irr_hpdi=irr_hpdi[j],
+            irr_excludes_one=~((irr_hpdi[j, :, 0] <= 1.0) & (1.0 <= irr_hpdi[j, :, 1])),
+            count_mode=int(mode[j]),
+            pmf=pmf[j],
+        )
+        for j in range(c_all.shape[1])
+    ]
     if not any(s.occupied for s in summaries):
         raise DegenerateFitError("no component clears the occupancy threshold")
     return summaries

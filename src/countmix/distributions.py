@@ -1,9 +1,9 @@
-"""Log-densities and random draws for the count-mixture model.
+"""ln Gamma and the random draws of the count-mixture model.
 
-Everything is evaluated in log space.  The functions accept scalars or
-numpy arrays (broadcasting applies) and are the only place the model ever
-touches a special function: ``log_gamma`` is self-contained, so the core
-library needs nothing beyond numpy.
+``log_gamma`` is self-contained (a Lanczos series), so the core library
+needs nothing beyond numpy; the NB log pmf that uses it is built in
+``model`` from ``_nb_table`` and ``_nb_eta_terms``.  The functions accept
+scalars or numpy arrays (broadcasting applies).
 """
 from __future__ import annotations
 
@@ -11,14 +11,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "log_gamma",
-    "negbin_log_pmf",
-    "zinb_log_pmf",
-    "sample_negbin",
-    "sample_dirichlet",
-    "sample_categorical",
-]
+__all__ = ["log_gamma", "sample_negbin", "sample_dirichlet"]
 
 # Lanczos approximation, g = 607/128 with 15 coefficients (Godfrey's set).
 # Relative error is at float64 machine precision over (0, 1e6].
@@ -80,55 +73,6 @@ def _validate_nb_params(mu, psi):
     return mu, psi
 
 
-def _validate_counts(y):
-    arr = np.asarray(y)
-    if arr.size and (np.any(arr < 0) or not np.all(np.floor(arr) == arr)):
-        raise ValueError("counts must be non-negative integers")
-    return arr.astype(float)
-
-
-def _nb_logpmf_raw(y: np.ndarray, mu: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Mean/precision NB log pmf, no validation.  Broadcasts."""
-    log_psi_mu = np.log(psi + mu)
-    return (
-        _log_gamma_raw(y + psi)
-        - _log_gamma_raw(psi)
-        - _log_gamma_raw(y + 1.0)
-        + psi * (np.log(psi) - log_psi_mu)
-        + y * (np.log(mu) - log_psi_mu)
-    )
-
-
-def negbin_log_pmf(y, mu, psi):
-    """Log pmf of the Negative Binomial with mean ``mu`` and precision ``psi``.
-
-    Variance is mu + mu**2/psi; psi -> inf recovers the Poisson.  With
-    psi = 1 this is the geometric pmf with success probability 1/(1+mu).
-    """
-    yf = _validate_counts(y)
-    mu, psi = _validate_nb_params(mu, psi)
-    out = _nb_logpmf_raw(yf, mu, psi)
-    scalar = np.isscalar(y) and np.isscalar(mu) and np.isscalar(psi)
-    return float(out) if scalar else out
-
-
-def zinb_log_pmf(y, pi, mu, psi):
-    """Log pmf of the zero-inflated NB: point mass pi at zero plus (1-pi)*NB."""
-    pi_arr = np.asarray(pi, dtype=float)
-    if pi_arr.size and (not np.all(np.isfinite(pi_arr)) or np.any(pi_arr < 0.0) or np.any(pi_arr > 1.0)):
-        raise ValueError("zero-inflation probability must lie in [0, 1]")
-    yf = _validate_counts(y)
-    mu, psi = _validate_nb_params(mu, psi)
-    nb = _nb_logpmf_raw(yf, mu, psi)
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(pi_arr)
-        log_1mpi = np.log1p(-pi_arr)
-    deflated = log_1mpi + nb
-    out = np.where(yf == 0, np.logaddexp(np.broadcast_to(log_pi, deflated.shape), deflated), deflated)
-    scalar = all(np.isscalar(v) for v in (y, pi, mu, psi))
-    return float(out) if scalar else out
-
-
 # Poisson draws overflow for enormous rates; above this we switch to the
 # (exact-in-the-limit) normal approximation rounded to a count.
 _POISSON_NORMAL_CUTOFF = 1e8
@@ -138,7 +82,7 @@ def sample_negbin(mu, psi, rng: np.random.Generator, size=None):
     """Draw NB counts via the gamma-Poisson mixture.
 
     lambda ~ Gamma(shape=psi, mean=mu), y ~ Poisson(lambda); the marginal
-    law matches ``negbin_log_pmf``.
+    law is NB with mean mu and precision psi (variance mu + mu**2/psi).
     """
     scalar_params = np.isscalar(mu) and np.isscalar(psi)
     mu, psi = _validate_nb_params(mu, psi)
@@ -168,21 +112,6 @@ def sample_dirichlet(alphas, rng: np.random.Generator) -> np.ndarray:
         # All gammas underflowed (only possible for extreme alphas); fall
         # back to a one-hot draw proportional to alphas.
         g = np.zeros_like(alphas)
-        g[sample_categorical(alphas / alphas.sum(), rng)] = 1.0
+        g[rng.choice(alphas.size, p=alphas / alphas.sum())] = 1.0
         total = 1.0
     return g / total
-
-
-def sample_categorical(weights, rng: np.random.Generator) -> int:
-    """Draw an index with probability proportional to ``weights``."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size < 1:
-        raise ValueError("weights must be a non-empty vector")
-    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be non-negative and finite")
-    total = w.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"weights must sum to 1 (got {total!r})")
-    cum = np.cumsum(w)
-    cum[-1] = total  # guard against rounding in the final bin
-    return int(np.searchsorted(cum, rng.random() * total, side="right"))

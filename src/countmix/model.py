@@ -1,4 +1,4 @@
-"""Model state containers, joint density pieces, and the synthetic generator.
+"""Model state containers, the NB likelihood kernel, and the synthetic generator.
 
 The mixture has k_max components with symmetric Dirichlet(alpha0) weights;
 with alpha0 << 1 superfluous components empty out, so the occupied count is
@@ -6,16 +6,11 @@ inferred from data rather than fixed in advance.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distributions import (
-    _log_gamma_raw,
-    log_gamma,
-    sample_negbin,
-)
+from .distributions import _log_gamma_raw, sample_negbin
 
 __all__ = [
     "Dataset",
@@ -24,10 +19,7 @@ __all__ = [
     "ParamState",
     "CovariateColumn",
     "LINPRED_CLAMP",
-    "component_mean",
     "loglik_matrix",
-    "complete_log_likelihood",
-    "log_prior",
     "generate_synthetic",
 ]
 
@@ -35,9 +27,6 @@ __all__ = [
 # (in the NB kernel below and wherever a mean is formed from beta), so early
 # MCMC wandering cannot produce inf/NaN means.  Clamped cells are not counted.
 LINPRED_CLAMP = 50.0
-
-LOG_2PI = math.log(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -167,32 +156,19 @@ class ParamState:
         )
 
 
-def component_mean(beta_k, x):
-    """exp(x . beta_k), the component mean at covariate row x.
-
-    The linear predictor is clamped to +/-LINPRED_CLAMP; returns
-    (mean, clamped_flag).
-    """
-    beta_k = np.asarray(beta_k, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if beta_k.shape != x.shape:
-        raise ValueError("beta_k and x must have the same length")
-    eta = float(x @ beta_k)
-    clamped = abs(eta) > LINPRED_CLAMP
-    return math.exp(max(-LINPRED_CLAMP, min(LINPRED_CLAMP, eta))), clamped
-
-
-def _nb_table(data: Dataset, psi) -> np.ndarray:
-    """The terms of ln NB(y | mu, psi) that involve no mean, per unique y.
+def _nb_table(y, log_gamma_y1, psi) -> np.ndarray:
+    """The terms of ln NB(y | mu, psi) that involve no mean, per count in y.
 
     ln Gamma(y+psi) - ln Gamma(psi) - ln Gamma(y+1) + psi ln psi, of shape
-    psi.shape + (U,).  With ``_nb_eta_terms`` it is the NB log pmf:
-    ``_nb_table(data, psi)[..., data.y_inverse] + _nb_eta_terms(y, eta, psi)``.
+    psi.shape + y.shape, for a 1-D y and its ln Gamma(y+1).  With
+    ``_nb_eta_terms`` it is the NB log pmf; the sweep passes the unique
+    counts: ``_nb_table(data.y_unique, data.log_gamma_y1, psi)[...,
+    data.y_inverse] + _nb_eta_terms(y, eta, psi)``.
     """
     psi = np.asarray(psi, dtype=float)[..., np.newaxis]
     # One ln Gamma call: the appended y = 0 gives ln Gamma(psi) in the last column.
-    lg = _log_gamma_raw(np.append(data.y_unique, 0.0) + psi)
-    return lg[..., :-1] - lg[..., -1:] - data.log_gamma_y1 + psi * np.log(psi)
+    lg = _log_gamma_raw(np.append(y, 0.0) + psi)
+    return lg[..., :-1] - lg[..., -1:] - log_gamma_y1 + psi * np.log(psi)
 
 
 def _nb_eta_terms(yf, eta, psi) -> np.ndarray:
@@ -222,7 +198,8 @@ def loglik_matrix(data: Dataset, beta: np.ndarray, psi: np.ndarray,
     terms are evaluated on the unique counts only.
     """
     ll = _nb_eta_terms(data._yf, beta @ data.X.T, psi[:, np.newaxis])
-    ll += np.take(_nb_table(data, psi), data.y_inverse, axis=1)
+    table = _nb_table(data.y_unique, data.log_gamma_y1, psi)
+    ll += np.take(table, data.y_inverse, axis=1)
     if spec.zero_inflated:
         if pi is None:
             raise ValueError("zinb likelihood requires pi")
@@ -232,44 +209,6 @@ def loglik_matrix(data: Dataset, beta: np.ndarray, psi: np.ndarray,
         zero = data.zero_mask
         ll[:, zero] = np.logaddexp(log_pi, ll[:, zero])
     return ll.T
-
-
-def complete_log_likelihood(state: ParamState, data: Dataset, spec: ModelSpec) -> float:
-    """Sum over observations of the assigned component's log pmf."""
-    ll = loglik_matrix(data, state.beta, state.psi, state.pi, spec)
-    return float(ll[np.arange(data.n), state.z].sum())
-
-
-def _log_normal_pdf(x, mean, sd):
-    return -0.5 * LOG_2PI - math.log(sd) - 0.5 * ((np.asarray(x) - mean) / sd) ** 2
-
-
-def log_prior(state: ParamState, spec: ModelSpec) -> float:
-    """Log prior density of (c, beta, psi [, pi]).
-
-    The categorical mass of z belongs to the assignment update and is not
-    counted here.  States on the simplex boundary return -inf.
-    """
-    hyper = spec.hyper
-    k = state.c.shape[0]
-    if np.any(state.c <= 0.0):
-        return float("-inf")
-    dir_term = (
-        log_gamma(k * hyper.alpha0)
-        - k * log_gamma(hyper.alpha0)
-        + (hyper.alpha0 - 1.0) * np.log(state.c).sum()
-    )
-    beta_term = _log_normal_pdf(state.beta, hyper.m0, hyper.s0).sum()
-    log_psi = np.log(state.psi)
-    psi_term = (_log_normal_pdf(log_psi, hyper.a0, hyper.b0) - log_psi).sum()
-    total = float(dir_term + beta_term + psi_term)
-    if spec.zero_inflated:
-        a, b = spec.pi_prior
-        pi = state.pi
-        with np.errstate(divide="ignore", invalid="ignore"):
-            beta_norm = log_gamma(a + b) - log_gamma(a) - log_gamma(b)
-            total += float(np.sum(beta_norm + (a - 1.0) * np.log(pi) + (b - 1.0) * np.log1p(-pi)))
-    return total
 
 
 @dataclass(frozen=True)

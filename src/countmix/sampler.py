@@ -80,7 +80,6 @@ class Trace:
     counts: np.ndarray | None     # (S, K) rows per component; None if read from disk
     pi: np.ndarray | None         # (S, K) for zinb, else None
     accept_rates: dict = field(default_factory=dict)
-    seed: int = 0
     chain_id: int = 0
     column_names: tuple = ()
 
@@ -113,13 +112,6 @@ def _weighted_likelihood(data: Dataset, spec: ModelSpec, c, beta, psi, pi) -> np
         raise SamplerError("all responsibilities underflowed for some observation")
     log_r -= top
     return np.exp(log_r, out=log_r)
-
-
-def responsibilities(state: ParamState, data: Dataset, spec: ModelSpec) -> np.ndarray:
-    """N x K posterior membership probabilities given current parameters."""
-    r = _weighted_likelihood(data, spec, state.c, state.beta, state.psi, state.pi)
-    r /= r.sum(axis=0)
-    return r.T
 
 
 def update_assignments(state: ParamState, data: Dataset, spec: ModelSpec,
@@ -211,7 +203,7 @@ def update_precisions(state: ParamState, data: Dataset, spec: ModelSpec,
     log_u = np.log(rng.random(k_max))
     both = np.stack([state.psi, np.exp(prop)])           # (2, K): current, proposed
     table_part = np.einsum("ku,iku->ik", y_counts.reshape(k_max, u_dim),
-                           _nb_table(data, both))
+                           _nb_table(data.y_unique, data.log_gamma_y1, both))
     eta = np.einsum("nd,nd->n", data.X, state.beta[z])
     row_terms = _nb_eta_terms(data._yf, np.stack([eta, eta]), both[:, z])
     ll_diff = table_part[1] - table_part[0] + np.bincount(
@@ -241,7 +233,8 @@ def update_zero_inflation(state: ParamState, data: Dataset, spec: ModelSpec,
         zk = state.z[zero_idx]
         eta = np.einsum("nd,nd->n", data.X[zero_idx], state.beta[zk])
         # y_unique[0] is 0 here, so table column 0 is ln NB(0)'s psi-only part.
-        log_nb0 = _nb_table(data, state.psi)[zk, 0] + _nb_eta_terms(0.0, eta, state.psi[zk])
+        table = _nb_table(data.y_unique, data.log_gamma_y1, state.psi)
+        log_nb0 = table[zk, 0] + _nb_eta_terms(0.0, eta, state.psi[zk])
         pi_z = state.pi[zk]
         p1 = pi_z
         p0 = (1.0 - pi_z) * np.exp(log_nb0)
@@ -369,7 +362,6 @@ def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
         accept_rates={"beta": rate_beta, "psi": rate_psi,
                       "beta_weighted": _occupancy_weighted_rate(rate_beta, mean_counts),
                       "psi_weighted": _occupancy_weighted_rate(rate_psi, mean_counts)},
-        seed=config.master_seed,
         chain_id=chain_id,
         column_names=data.column_names,
     )
@@ -390,8 +382,6 @@ def run_chains(spec: ModelSpec, data: Dataset, config: SamplerConfig,
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(_chain_worker, jobs))
-    except SamplerError:
-        raise
     except BrokenProcessPool as exc:
         raise SamplerError(f"a chain worker process died: {exc}") from exc
     except OSError:

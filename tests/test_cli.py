@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -137,6 +138,25 @@ class TestIngest:
         path = _write(tmp_path / "d.csv", "y,x\n3,oops\n")
         with pytest.raises(DataError, match="non-numeric"):
             ingest(path)
+
+    @pytest.mark.parametrize("char", ["\r", "\x1b", "\x85"], ids=["cr", "esc", "nel"])
+    def test_control_character_in_name(self, tmp_path, capsys, char):
+        # A quoted header cell may hold a bare carriage return; the CSV
+        # files a fit writes would not carry it intact, so ingest refuses
+        # every C0 and C1 control character in a name.
+        name = f"a{char}b"
+        path = _write(tmp_path / "d.csv", f'y,"{name}"\n3,0.1\n2,0.2\n')
+        with pytest.raises(DataError, match=re.escape(f"column name {name!r} holds a control")):
+            ingest(path)
+        assert run(["fit", "--input", path,
+                    "--out", str(tmp_path / "f")] + FIT_FLAGS) == EXIT_INPUT
+        assert repr(name) in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "f")
+
+    def test_control_character_in_category_level(self, tmp_path):
+        path = _write(tmp_path / "d.csv", 'y,site\n3,north\n2,"a\rb"\n')
+        with pytest.raises(DataError, match=re.escape("column name 'site=a\\rb'")):
+            ingest(path, categorical={"site": ("north", None)})
 
     def test_round_trip(self, tmp_path):
         data, _ = generate_synthetic(
@@ -316,6 +336,32 @@ class TestFit:
         monkeypatch.setattr(cli, "run_chains", boom)
         assert run(["fit", "--input", path,
                     "--out", str(tmp_path / "f")] + FIT_FLAGS) == EXIT_SAMPLER
+
+    @pytest.mark.parametrize("flags,samples", [
+        (["--iters", "30", "--burnin", "22", "--chains", "2"], False),
+        (["--iters", "29", "--burnin", "10", "--chains", "1"], False),
+        (["--iters", "1000", "--burnin", "100", "--thin", "300", "--chains", "8"], False),
+        (["--iters", "32", "--burnin", "22", "--chains", "2"], True),
+        (["--iters", "24", "--burnin", "20", "--chains", "5"], True),
+    ], ids=["16-pooled", "19-pooled-one-chain", "3-per-chain", "20-pooled", "4-per-chain"])
+    def test_too_short_fit_exits_before_sampling(self, tmp_path, monkeypatch, capsys,
+                                                 flags, samples):
+        # At least 20 pooled stored states (HPD intervals) and, with two or
+        # more chains, 4 per chain (R-hat); a shorter fit must not sample.
+        path = _write(tmp_path / "d.csv", "y,x\n3,0.1\n2,0.2\n")
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append(args)
+            raise SamplerError("stopped before sampling")
+
+        monkeypatch.setattr(cli, "run_chains", record)
+        code = run(["fit", "--input", path, "--out", str(tmp_path / "f")] + flags)
+        if samples:
+            assert code == EXIT_SAMPLER and len(calls) == 1
+        else:
+            assert code == EXIT_INPUT and not calls
+            assert "at least 20 in all" in capsys.readouterr().err
 
     def test_crashed_worker_exit_code(self, tmp_path, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool

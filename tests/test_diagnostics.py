@@ -24,6 +24,7 @@ from countmix.model import (
     loglik_matrix,
 )
 from countmix.sampler import SamplerConfig, Trace, run_chain
+from oracles import negbin_log_pmf
 
 
 def _ordered_trace(rng, s=60, k=3, d=2, n=25, chain_id=0):
@@ -121,8 +122,7 @@ class TestRelabel:
 
 class TestRhat:
     def test_identical_constant_chains(self):
-        value, degenerate = rhat([np.ones(100), np.ones(100)], return_flag=True)
-        assert value == 1.0 and degenerate
+        assert rhat([np.ones(100), np.ones(100)]) == 1.0
 
     def test_same_distribution(self):
         gen = np.random.default_rng(0)
@@ -170,8 +170,7 @@ class TestEss:
         assert abs(ess(x) - expected) < 0.25 * expected
 
     def test_constant(self):
-        value, degenerate = ess(np.full(500, 2.5), return_flag=True)
-        assert value == 500.0 and degenerate
+        assert ess(np.full(500, 2.5)) == 500.0
 
     def test_bounded(self):
         gen = np.random.default_rng(5)
@@ -225,6 +224,18 @@ class TestHpdi:
     def test_needs_min_length(self):
         with pytest.raises(ValueError):
             hpdi(np.arange(10.0), 0.5)
+
+    def test_columns_equal_one_dimensional_calls(self):
+        gen = np.random.default_rng(8)
+        x = gen.exponential(size=(301, 4, 3))
+        x[:, 0, 0] = 2.5                    # a point mass column
+        x[:, 1, 1] = np.round(x[:, 1, 1])   # ties among the widths
+        lo, hi = hpdi(x, 0.95)
+        assert lo.shape == hi.shape == (4, 3)
+        for j in range(4):
+            for d in range(3):
+                assert (lo[j, d], hi[j, d]) == hpdi(x[:, j, d], 0.95)
+        assert all(type(v) is float for v in hpdi(x[:, 0, 0], 0.95))
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +317,35 @@ class TestComponentSummary:
         summaries = component_summary(rel, int(data.y.max()), data.X.mean(axis=0))
         total = sum(s.prevalence_mean for s in summaries)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("zinb", [False, True], ids=["nb", "zinb"])
+    def test_pmf_matches_reference_formula(self, zinb):
+        # Mean over the PMF_STATES strided pooled states of the closed-form
+        # NB pmf at reference_x, with the zero point mass mixed in for ZINB.
+        gen = np.random.default_rng(9)
+        s, k, d, y_max = 350, 4, 3, 120
+        traces = [Trace(c=gen.dirichlet(np.ones(k), size=s),
+                        beta=gen.normal([2.0, 0.3, -0.2], 0.6, size=(s, k, d)),
+                        psi=np.exp(gen.normal(1.0, 1.5, size=(s, k))), counts=None,
+                        pi=gen.uniform(0.0, 0.5, size=(s, k)) if zinb else None,
+                        chain_id=cid) for cid in (1, 0)]
+        x = np.array([1.0, 0.4, -0.7])
+        summaries = component_summary(traces, y_max=y_max, reference_x=x)
+        beta, psi = (np.concatenate([traces[1].beta, traces[0].beta]),
+                     np.concatenate([traces[1].psi, traces[0].psi]))
+        pi = np.concatenate([traces[1].pi, traces[0].pi]) if zinb else None
+        y = np.arange(y_max + 51)
+        expected = np.zeros((k, y.size))
+        idx = np.linspace(0, 2 * s - 1, 200).round().astype(int)
+        for t in idx:
+            pmf = np.exp(negbin_log_pmf(y, np.exp(beta[t] @ x)[:, None], psi[t][:, None]))
+            if zinb:
+                pmf = (1.0 - pi[t][:, None]) * pmf
+                pmf[:, 0] += pi[t]
+            expected += pmf
+        expected /= idx.size
+        for j, summ in enumerate(summaries):
+            np.testing.assert_allclose(summ.pmf, expected[j], rtol=1e-12)
 
     def test_degenerate_fit_raises(self, rng):
         s = 40

@@ -1,7 +1,8 @@
-"""Unit tests for log-densities and samplers.
+"""Unit tests for ln Gamma, the reference NB/ZINB pmfs, and the samplers.
 
 Exact values are checked against mpmath (multiprecision oracle); sampler
 laws are checked by Monte Carlo moments and a chi-square goodness-of-fit.
+The NB and ZINB pmfs are the test oracles of tests/oracles.py.
 """
 import math
 
@@ -12,14 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from countmix.distributions import (
-    log_gamma,
-    negbin_log_pmf,
-    sample_categorical,
-    sample_dirichlet,
-    sample_negbin,
-    zinb_log_pmf,
-)
+from countmix.distributions import log_gamma, sample_dirichlet, sample_negbin
+from oracles import negbin_log_pmf, zinb_log_pmf
 
 mpmath.mp.dps = 50
 
@@ -219,36 +214,12 @@ class TestSampleDirichlet:
         with pytest.raises(ValueError):
             sample_dirichlet(bad, rng)
 
-
-class TestSampleCategorical:
-    def test_point_mass(self, rng):
-        assert all(sample_categorical([1.0, 0.0, 0.0], rng) == 0 for _ in range(50))
-
-    def test_frequencies(self, rng):
+    def test_all_underflow_draws_one_hot_by_alphas(self, rng):
+        # Every gamma variate underflows to 0 at these shapes, so each draw
+        # is the one-hot fallback, whose index must follow alphas / sum.
         w = np.array([0.2, 0.3, 0.5])
-        m = 10 ** 6
-        u = rng.random(m)
-        # Vectorized equivalent of m independent draws from the same law.
-        draws = np.searchsorted(np.cumsum(w), u, side="right")
-        freq = np.bincount(draws, minlength=3) / m
-        se = np.sqrt(w * (1 - w) / m)
-        assert np.all(np.abs(freq - w) < 3 * se)
-
-    def test_single_draw_frequencies(self, rng):
-        draws = np.array([sample_categorical([0.2, 0.3, 0.5], rng) for _ in range(20000)])
-        freq = np.bincount(draws, minlength=3) / draws.size
-        se = np.sqrt(np.array([0.2, 0.3, 0.5]) * np.array([0.8, 0.7, 0.5]) / draws.size)
-        assert np.all(np.abs(freq - [0.2, 0.3, 0.5]) < 4 * se)
-
-    def test_deterministic(self):
-        a = [sample_categorical([0.5, 0.5], np.random.default_rng(9)) for _ in range(20)]
-        b = [sample_categorical([0.5, 0.5], np.random.default_rng(9)) for _ in range(20)]
-        assert a == b
-
-    def test_domain_errors(self, rng):
-        with pytest.raises(ValueError):
-            sample_categorical([0.5, 0.6], rng)
-        with pytest.raises(ValueError):
-            sample_categorical([-0.5, 1.5], rng)
-        with pytest.raises(ValueError):
-            sample_categorical([], rng)
+        draws = np.array([sample_dirichlet(w * 1e-302, rng) for _ in range(20000)])
+        assert np.all(draws.sum(axis=1) == 1.0) and np.all(draws.max(axis=1) == 1.0)
+        freq = draws.mean(axis=0)
+        se = np.sqrt(w * (1 - w) / len(draws))
+        assert np.all(np.abs(freq - w) < 4 * se)

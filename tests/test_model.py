@@ -1,4 +1,4 @@
-"""Unit tests for model containers, joint density pieces, and the generator."""
+"""Unit tests for model containers, the NB likelihood kernel, and the generator."""
 import math
 
 import numpy as np
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from countmix.distributions import negbin_log_pmf, zinb_log_pmf
 from countmix.model import (
     CovariateColumn,
     Dataset,
@@ -14,12 +13,10 @@ from countmix.model import (
     LINPRED_CLAMP,
     ModelSpec,
     ParamState,
-    complete_log_likelihood,
-    component_mean,
     generate_synthetic,
-    log_prior,
     loglik_matrix,
 )
+from oracles import negbin_log_pmf, zinb_log_pmf
 
 
 class TestContainers:
@@ -84,28 +81,6 @@ class TestContainers:
             state.validate(small_dataset, ModelSpec("zinb"))
 
 
-class TestComponentMean:
-    def test_zero_coefficients(self):
-        mean, clamped = component_mean(np.zeros(3), np.array([1.0, 2.0, -1.0]))
-        assert mean == 1.0 and not clamped
-
-    def test_intercept_only(self):
-        mean, _ = component_mean(np.array([math.log(44.0), 0.0]), np.array([1.0, 0.0]))
-        assert mean == pytest.approx(44.0, rel=1e-12)
-
-    def test_arithmetic(self):
-        mean, _ = component_mean(np.array([0.5, 0.25]), np.array([1.0, 2.0]))
-        assert mean == pytest.approx(math.e, rel=1e-12)
-
-    def test_clamp_flag(self):
-        mean, clamped = component_mean(np.array([100.0]), np.array([1.0]))
-        assert clamped and mean == pytest.approx(math.exp(LINPRED_CLAMP))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            component_mean(np.zeros(2), np.zeros(3))
-
-
 def _random_state(rng, k, d, n, zinb=False):
     c = rng.dirichlet(np.full(k, 2.0))
     state = ParamState(
@@ -117,6 +92,12 @@ def _random_state(rng, k, d, n, zinb=False):
     if zinb:
         state.pi = rng.uniform(0.05, 0.6, size=k)
     return state
+
+
+def complete_log_likelihood(state, data, spec):
+    """Sum over observations of the assigned component's kernel log pmf."""
+    ll = loglik_matrix(data, state.beta, state.psi, state.pi, spec)
+    return float(ll[np.arange(data.n), state.z].sum())
 
 
 class TestCompleteLogLikelihood:
@@ -245,54 +226,6 @@ class TestZinbIdentifiability:
         moved = self._mixture_loglik(data, a * (1.0 - shift / a.sum()),
                                      b + shift * b / b.sum())
         assert abs(moved - base) > 1.0
-
-
-class TestLogPrior:
-    def test_closed_form_single_component(self):
-        # K=1: Dirichlet term vanishes; one beta at its prior mode and
-        # psi = 1 give two known closed-form contributions.
-        state = ParamState(c=np.array([1.0]), beta=np.array([[0.0]]),
-                           psi=np.array([1.0]), z=np.array([0]))
-        spec = ModelSpec("nb", Hyperparams(k_max=1))
-        normal_term = -math.log(10.0 * math.sqrt(2.0 * math.pi))
-        lognormal_term = -math.log(2.0 * math.sqrt(2.0 * math.pi))
-        assert normal_term == pytest.approx(-3.221524, abs=1e-6)
-        assert lognormal_term == pytest.approx(-1.612086, abs=1e-6)
-        assert log_prior(state, spec) == pytest.approx(
-            normal_term + lognormal_term, abs=1e-9)
-
-    def test_boundary_is_minus_inf(self):
-        state = ParamState(c=np.array([1.0, 0.0]), beta=np.zeros((2, 1)),
-                           psi=np.ones(2), z=np.array([0]))
-        spec = ModelSpec("nb", Hyperparams(k_max=2))
-        assert log_prior(state, spec) == -math.inf
-
-    def test_zinb_adds_beta_terms(self):
-        base = ParamState(c=np.array([1.0]), beta=np.array([[0.0]]),
-                          psi=np.array([1.0]), z=np.array([0]))
-        zstate = base.copy()
-        zstate.pi = np.array([0.3])
-        h = Hyperparams(k_max=1)
-        nb_val = log_prior(base, ModelSpec("nb", h))
-        # Beta(1,1) prior density is 1 everywhere, so the values coincide.
-        assert log_prior(zstate, ModelSpec("zinb", h)) == pytest.approx(nb_val, abs=1e-12)
-        # A non-uniform prior shifts it by the Beta(2,2) log density.
-        spec22 = ModelSpec("zinb", h, pi_prior=(2.0, 2.0))
-        expected = nb_val + math.log(6.0 * 0.3 * 0.7)
-        assert log_prior(zstate, spec22) == pytest.approx(expected, abs=1e-10)
-
-    @given(seed=st.integers(min_value=0, max_value=10 ** 6))
-    @settings(max_examples=30, deadline=None)
-    def test_permutation_invariance(self, seed):
-        gen = np.random.default_rng(seed)
-        k = 4
-        state = _random_state(gen, k, 3, 5)
-        spec = ModelSpec("nb", Hyperparams(k_max=k))
-        perm = gen.permutation(k)
-        permuted = ParamState(c=state.c[perm], beta=state.beta[perm],
-                              psi=state.psi[perm], z=np.argsort(perm)[state.z])
-        base = log_prior(state, spec)
-        assert log_prior(permuted, spec) == pytest.approx(base, abs=1e-12 * max(1.0, abs(base)))
 
 
 class TestGenerateSynthetic:

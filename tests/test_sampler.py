@@ -3,8 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from countmix.distributions import negbin_log_pmf
 from countmix.model import (
     CovariateColumn,
     Dataset,
@@ -17,15 +17,16 @@ from countmix.model import (
 from countmix.sampler import (
     SamplerConfig,
     _occupancy_weighted_rate,
+    _weighted_likelihood,
     run_chain,
     run_chains,
-    responsibilities,
     update_assignments,
     update_coefficients,
     update_precisions,
     update_weights,
     update_zero_inflation,
 )
+from oracles import negbin_log_pmf
 
 
 class TestSamplerConfig:
@@ -53,6 +54,12 @@ def _state_for(data, k, beta=None, psi=None, c=None, pi=None):
         z=np.zeros(data.n, dtype=np.int64),
         pi=pi if pi is None else np.asarray(pi, dtype=float),
     )
+
+
+def responsibilities(state, data, spec):
+    """N x K membership probabilities: the assignment kernel, normalised."""
+    r = _weighted_likelihood(data, spec, state.c, state.beta, state.psi, state.pi)
+    return (r / r.sum(axis=0)).T
 
 
 class TestResponsibilities:
@@ -399,6 +406,67 @@ class TestUpdateZeroInflation:
         state = _state_for(data, 1, beta=[[2.0]], pi=[0.9])
         _, w = update_zero_inflation(state, data, spec, rng)
         assert np.all(w[data.y > 0] == 0)
+
+
+class TestZeroInflationConditionals:
+    """Exact conditionals of update_zero_inflation at K = 3 (component 2
+    empty), drawn many times from one fixed state: given z, w_n = 1 with
+    probability p1 / (p1 + p0), p1 = pi_z and p0 = (1 - pi_z) NB(0 | mu_n,
+    psi_z), and given w, pi_k ~ Beta(a + s_k, b + n_k - s_k) with s_k the
+    structural zeros among the n_k rows of component k."""
+
+    DRAWS = 4000
+    PI_PRIOR = (2.0, 3.0)
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        gen = np.random.default_rng(5)
+        n = 60
+        X = np.column_stack([np.ones(n), gen.standard_normal(n)])
+        y = np.concatenate([np.zeros(40, dtype=int), gen.poisson(4.0, 20) + 1])
+        data = Dataset(y=y, X=X, column_names=("intercept", "x1"))
+        z = np.concatenate([np.repeat([0, 1], 20), np.repeat([0, 1], 10)])
+        state = ParamState(c=np.array([0.5, 0.5, 0.0]),
+                           beta=np.array([[1.0, 0.5], [0.5, -0.3], [0.0, 0.0]]),
+                           psi=np.array([0.5, 20.0, 1.0]), z=z,
+                           pi=np.array([0.6, 0.2, 0.4]))
+        spec = ModelSpec("zinb", Hyperparams(k_max=3), pi_prior=self.PI_PRIOR)
+        rng = np.random.default_rng(17)
+        pis, ws = [], []
+        for _ in range(self.DRAWS):
+            pi, w = update_zero_inflation(state.copy(), data, spec, rng)
+            pis.append(pi)
+            ws.append(w)
+        return data, state, np.array(pis), np.array(ws)
+
+    def test_w_follows_its_bernoulli_conditional(self, draws):
+        data, state, _, ws = draws
+        z = state.z
+        mu = np.exp(np.einsum("nd,nd->n", data.X, state.beta[z]))
+        p1 = state.pi[z]
+        p0 = (1.0 - p1) * np.exp(negbin_log_pmf(data.y, mu, state.psi[z]))
+        prob = p1 / (p1 + p0)
+        zero = data.y == 0
+        assert np.all(ws[:, ~zero] == 0)
+        hits = ws[:, zero].sum(axis=0)
+        expected = self.DRAWS * prob[zero]
+        chi2 = np.sum((hits - expected) ** 2 / (expected * (1.0 - prob[zero])))
+        assert stats.chi2.sf(chi2, df=int(zero.sum())) > 1e-3
+        # The two occupied components differ in psi, so in P(w = 1).
+        assert abs(prob[zero & (z == 0)].mean() - prob[zero & (z == 1)].mean()) > 0.1
+
+    def test_pi_follows_its_beta_conditional(self, draws):
+        # Probability integral transform through each draw's own Beta
+        # conditional: uniform on (0, 1) per component, empty one included.
+        _, state, pis, ws = draws
+        a, b = self.PI_PRIOR
+        n_k = np.bincount(state.z, minlength=3)
+        s_k = np.stack([np.bincount(state.z[w == 1], minlength=3) for w in ws])
+        assert np.all(s_k[:, 2] == 0) and n_k[2] == 0
+        assert np.mean(s_k[:, :2] != n_k[:2] - s_k[:, :2]) > 0.8
+        u = stats.beta.cdf(pis, a + s_k, b + n_k - s_k)
+        for k in range(3):
+            assert stats.kstest(u[:, k], "uniform").pvalue > 1e-3
 
 
 class TestRunChain:
