@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import math
 import os
 import re
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -111,16 +113,51 @@ def parse_config(path: str) -> dict:
     return out
 
 
-def _resolve(flag_value, config: dict, key: str, default, cast):
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        raw = config[key]
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise DataError(f"config key {key}: cannot parse {raw!r}") from exc
-    return default
+# Each simulate and fit setting, declared once: its flag is --key with "_" written
+# as "-", and a config file may hold exactly these keys.  A default of None leaves
+# the value to the Hyperparams and SamplerConfig defaults or to the params file.
+Setting = namedtuple("Setting", "key type default choices help",
+                     defaults=(str, None, None, None))
+_MODEL = Setting("model", default="nb", choices=("nb", "zinb"))
+SETTINGS = {
+    "simulate": (_MODEL, Setting("n", int), Setting("seed", int),
+                 Setting("out", default="simulated")),
+    "fit": (
+        Setting("input"), _MODEL, Setting("outcome", default="y"),
+        Setting("categorical", default="",
+                help="'col=ref' or 'col=ref:lev1|lev2'; ';'-separated"),
+        Setting("kmax", int), Setting("alpha0", float), Setting("m0", float),
+        Setting("s0", float), Setting("a0", float), Setting("b0", float),
+        Setting("iters", int), Setting("burnin", int), Setting("thin", int),
+        Setting("chains", int), Setting("seed", int), Setting("target_accept", float),
+        Setting("rhat_threshold", float, 1.1), Setting("occupancy_threshold", float, 0.01),
+        Setting("out", default="fit_out"),
+    ),
+}
+# Setting keys whose dataclass field has another name.
+_FIELD_NAMES = {"kmax": "k_max", "iters": "iterations", "burnin": "burn_in", "seed": "master_seed"}
+
+
+def _settings(command: str, args) -> dict:
+    """Every setting of the command, taken from flag > config file > default."""
+    config = parse_config(args.config) if args.config else {}
+    table = SETTINGS[command]
+    unknown = sorted(set(config) - {s.key for s in table})
+    if unknown:
+        raise DataError(f"unknown config key {', '.join(map(repr, unknown))} for {command}; "
+                        f"valid keys: {', '.join(sorted(s.key for s in table))}")
+    values = {}
+    for s in table:
+        value = getattr(args, s.key)
+        if value is None and s.key in config:
+            try:
+                value = s.type(config[s.key])
+            except ValueError as exc:
+                raise DataError(f"config key {s.key}: cannot parse {config[s.key]!r}") from exc
+            if s.choices and value not in s.choices:
+                raise DataError(f"config key {s.key}: {value!r} is not one of {s.choices}")
+        values[s.key] = s.default if value is None else value
+    return values
 
 
 def _parse_categorical(spec_str: str) -> dict:
@@ -182,7 +219,6 @@ def ingest(path: str, categorical: dict | None = None, outcome: str = "y") -> Da
     y_idx = header.index(outcome)
 
     y = np.empty(len(rows), dtype=np.int64)
-    raw_cols: dict[str, list[str]] = {h: [] for h in header if h != outcome}
     for i, row in enumerate(rows):
         lineno = i + 2
         if len(row) != len(header):
@@ -194,28 +230,26 @@ def ingest(path: str, categorical: dict | None = None, outcome: str = "y") -> Da
             raise DataError(f"{path}:{lineno}: outcome {cell!r} is not an integer") from None
         if val < 0:
             raise DataError(f"{path}:{lineno}: outcome {val} is negative")
+        if val > np.iinfo(np.int64).max:
+            raise DataError(f"{path}:{lineno}: outcome {val} is too large")
         y[i] = val
-        for j, h in enumerate(header):
-            if j != y_idx:
-                raw_cols[h].append(row[j].strip())
 
     columns: list[np.ndarray] = [np.ones(len(rows))]
     names: list[str] = ["intercept"]
     cat_raw: dict[str, np.ndarray] = {}
-    for h in header:
-        if h == outcome:
+    for j, h in enumerate(header):
+        if j == y_idx:
             continue
-        values = raw_cols[h]
+        values = [row[j].strip() for row in rows]
         if h in categorical:
             ref, allowed = categorical[h]
-            seen = sorted(set(values))
             if allowed is not None:
                 for i, v in enumerate(values):
                     if v not in allowed:
                         raise DataError(f"{path}:{i + 2}: unknown category {v!r} in column {h!r}")
                 levels = sorted(allowed)
             else:
-                levels = seen
+                levels = sorted(set(values))
             if ref not in levels:
                 raise DataError(f"{path}: reference level {ref!r} absent from column {h!r}")
             for lev in levels:
@@ -240,9 +274,15 @@ def ingest(path: str, categorical: dict | None = None, outcome: str = "y") -> Da
                 log.warning("column %r is constant", h)
             columns.append(parsed)
             names.append(h)
-    for name in header + names:
+    # The outcome is found by name, and every other name heads a written column.
+    final = [outcome] + names
+    for name in final + list(cat_raw):
         if _CONTROL_CHAR.search(name):
             raise DataError(f"{path}: column name {name!r} holds a control character")
+        if not name:
+            raise DataError(f"{path}: column {header.index(name) + 1} has an empty name")
+        if final.count(name) > 1:
+            raise DataError(f"{path}: duplicate column name {name!r}")
     data = Dataset(y=y, X=np.column_stack(columns), column_names=names)
     data.categorical_raw = cat_raw
     log.info("ingested %d rows, columns: %s", data.n, ", ".join(names))
@@ -279,22 +319,20 @@ def _covariates_from_json(entries):
 
 
 def cmd_simulate(args) -> int:
-    config = parse_config(args.config) if args.config else {}
+    settings = _settings("simulate", args)
     if args.params:
         try:
             with open(args.params) as fh:
                 truth = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read params file {args.params}: {exc}") from exc
-    elif _resolve(args.model, config, "model", "nb", str) == "zinb":
-        truth = dict(DEMO_TRUTH_ZINB)
     else:
-        truth = dict(DEMO_TRUTH)
-    n = _resolve(args.n, config, "n", int(truth.get("n", 1000)), int)
-    seed = _resolve(args.seed, config, "seed", int(truth.get("seed", 0)), int)
+        truth = dict(DEMO_TRUTH_ZINB if settings["model"] == "zinb" else DEMO_TRUTH)
+    n = int(truth.get("n", 1000)) if settings["n"] is None else settings["n"]
+    seed = int(truth.get("seed", 0)) if settings["seed"] is None else settings["seed"]
     if n < 1:
         raise DataError("n must be >= 1")
-    out_dir = _resolve(args.out, config, "out", "simulated", str)
+    out_dir = settings["out"]
     os.makedirs(out_dir, exist_ok=True)
     try:
         data, z_true = generate_synthetic(
@@ -322,44 +360,21 @@ def cmd_simulate(args) -> int:
 
 
 def _fit_settings(args):
-    config = parse_config(args.config) if args.config else {}
-    input_path = _resolve(args.input, config, "input", None, str)
-    if not input_path:
+    settings = _settings("fit", args)
+    if not settings["input"]:
         raise DataError("fit requires --input (or 'input' in the config file)")
-    cat_str = _resolve(args.categorical, config, "categorical", "", str)
-    settings = {
-        "input": input_path,
-        "outcome": _resolve(args.outcome, config, "outcome", "y", str),
-        "categorical": _parse_categorical(cat_str) if cat_str else {},
-        "variant": _resolve(args.model, config, "model", "nb", str),
-        "out": _resolve(args.out, config, "out", "fit_out", str),
-        "rhat_threshold": _resolve(args.rhat_threshold, config, "rhat_threshold", 1.1, float),
-        "occupancy_threshold": _resolve(
-            args.occupancy_threshold, config, "occupancy_threshold", 0.01, float),
-    }
-    hyper = Hyperparams(
-        alpha0=_resolve(args.alpha0, config, "alpha0", 0.1, float),
-        m0=_resolve(args.m0, config, "m0", 0.0, float),
-        s0=_resolve(args.s0, config, "s0", 10.0, float),
-        a0=_resolve(args.a0, config, "a0", 0.0, float),
-        b0=_resolve(args.b0, config, "b0", 2.0, float),
-        k_max=_resolve(args.kmax, config, "kmax", 10, int),
-    )
-    sampler_cfg = SamplerConfig(
-        iterations=_resolve(args.iters, config, "iters", 10000, int),
-        burn_in=_resolve(args.burnin, config, "burnin", 5000, int),
-        thin=_resolve(args.thin, config, "thin", 1, int),
-        chains=_resolve(args.chains, config, "chains", 4, int),
-        master_seed=_resolve(args.seed, config, "seed", 0, int),
-        target_accept=_resolve(args.target_accept, config, "target_accept", 0.3, float),
-    )
+    settings["categorical"] = _parse_categorical(settings["categorical"])
+    named = {_FIELD_NAMES.get(k, k): v for k, v in settings.items() if v is not None}
+    hyper, sampler_cfg = (
+        cls(**{f.name: named[f.name] for f in dataclasses.fields(cls) if f.name in named})
+        for cls in (Hyperparams, SamplerConfig))
     # HPD intervals need HPDI_MIN_SAMPLES pooled states and R-hat 4 per chain.
     stored, chains = sampler_cfg.n_stored, sampler_cfg.chains
     if stored * chains < HPDI_MIN_SAMPLES or (chains > 1 and stored < 4):
         raise DataError(f"the fit would store {stored} states per chain, {stored * chains} "
                         f"in all; it needs at least {HPDI_MIN_SAMPLES} in all and, with two "
                         "or more chains, 4 per chain")
-    return settings, ModelSpec(variant=settings["variant"], hyper=hyper), sampler_cfg
+    return settings, ModelSpec(variant=settings["model"], hyper=hyper), sampler_cfg
 
 
 def _tracked_rhats(relabeled, summaries, column_names):
@@ -436,15 +451,8 @@ def _write_fit_outputs(out_dir, data, spec, sampler_cfg, settings, relabeled,
     meta = {
         "variant": spec.variant,
         "k_max": spec.hyper.k_max,
-        "hyper": {
-            "alpha0": spec.hyper.alpha0, "m0": spec.hyper.m0, "s0": spec.hyper.s0,
-            "a0": spec.hyper.a0, "b0": spec.hyper.b0,
-        },
-        "sampler": {
-            "iterations": sampler_cfg.iterations, "burn_in": sampler_cfg.burn_in,
-            "thin": sampler_cfg.thin, "chains": sampler_cfg.chains,
-            "master_seed": sampler_cfg.master_seed,
-        },
+        "hyper": dataclasses.asdict(spec.hyper),
+        "sampler": dataclasses.asdict(sampler_cfg),
         "column_names": list(data.column_names),
         "reference_x": [float(v) for v in reference_x],
         "y_max": int(data.y.max()),
@@ -458,7 +466,6 @@ def _write_fit_outputs(out_dir, data, spec, sampler_cfg, settings, relabeled,
     with open(os.path.join(out_dir, "run_meta.json"), "w", newline="\n") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    return meta
 
 
 def _component_tables(summaries, column_names) -> list[str]:
@@ -625,36 +632,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="generate a synthetic dataset")
     sim.add_argument("--params", help="JSON file with generating parameters")
-    sim.add_argument("--config", help="key=value config file")
-    sim.add_argument("--model", choices=["nb", "zinb"])
-    sim.add_argument("--n", type=int)
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--out")
-    sim.set_defaults(func=cmd_simulate)
-
     fit = sub.add_parser("fit", help="fit the mixture model")
-    fit.add_argument("--input")
-    fit.add_argument("--config", help="key=value config file")
-    fit.add_argument("--model", choices=["nb", "zinb"])
-    fit.add_argument("--outcome")
-    fit.add_argument("--categorical",
-                     help="'col=ref' or 'col=ref:lev1|lev2'; ';'-separated")
-    fit.add_argument("--kmax", type=int)
-    fit.add_argument("--alpha0", type=float)
-    fit.add_argument("--m0", type=float)
-    fit.add_argument("--s0", type=float)
-    fit.add_argument("--a0", type=float)
-    fit.add_argument("--b0", type=float)
-    fit.add_argument("--iters", type=int)
-    fit.add_argument("--burnin", type=int)
-    fit.add_argument("--thin", type=int)
-    fit.add_argument("--chains", type=int)
-    fit.add_argument("--seed", type=int)
-    fit.add_argument("--target-accept", dest="target_accept", type=float)
-    fit.add_argument("--rhat-threshold", dest="rhat_threshold", type=float)
-    fit.add_argument("--occupancy-threshold", dest="occupancy_threshold", type=float)
-    fit.add_argument("--out")
-    fit.set_defaults(func=cmd_fit)
+    for cmd, command, func in ((sim, "simulate", cmd_simulate), (fit, "fit", cmd_fit)):
+        cmd.add_argument("--config", help="key=value config file")
+        for s in SETTINGS[command]:
+            cmd.add_argument("--" + s.key.replace("_", "-"), type=s.type,
+                             choices=s.choices, help=s.help)
+        cmd.set_defaults(func=func)
 
     rep = sub.add_parser("report", help="render tables from persisted traces")
     rep.add_argument("--traces", required=True, help="fit output directory")

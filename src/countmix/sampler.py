@@ -41,11 +41,7 @@ __all__ = [
 
 
 class SamplerError(RuntimeError):
-    """Mid-run numeric fault; carries a diagnostic state dump."""
-
-    def __init__(self, message, dump=None):
-        super().__init__(message)
-        self.dump = dump or {}
+    """Mid-run numeric fault; the message names the sweep and the chain."""
 
 
 @dataclass(frozen=True)
@@ -126,11 +122,9 @@ def update_assignments(state: ParamState, data: Dataset, spec: ModelSpec,
     return z
 
 
-def update_weights(z: np.ndarray, hyper, rng: np.random.Generator,
-                   k: int | None = None) -> np.ndarray:
+def update_weights(z: np.ndarray, hyper, rng: np.random.Generator) -> np.ndarray:
     """Conjugate Dirichlet(alpha0 + counts) draw of the mixing weights."""
-    k = hyper.k_max if k is None else k
-    counts = np.bincount(z, minlength=k).astype(float)
+    counts = np.bincount(z, minlength=hyper.k_max).astype(float)
     return sample_dirichlet(hyper.alpha0 + counts, rng)
 
 
@@ -281,16 +275,7 @@ def _check_finite(state: ParamState, sweep: int, chain_id: int):
         and np.all(state.psi > 0)
     )
     if not ok:
-        raise SamplerError(
-            f"non-finite parameter state at sweep {sweep} (chain {chain_id})",
-            dump={
-                "sweep": sweep,
-                "chain_id": chain_id,
-                "c": state.c.copy(),
-                "beta": state.beta.copy(),
-                "psi": state.psi.copy(),
-            },
-        )
+        raise SamplerError(f"non-finite parameter state at sweep {sweep} (chain {chain_id})")
 
 
 def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
@@ -302,12 +287,10 @@ def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
     state = _initial_state(data, spec, chain_id)
     k, d = spec.hyper.k_max, data.d
 
-    log_scale_beta = np.log(np.full((k, d), 0.1))
-    log_scale_psi = np.log(np.full(k, 0.5))
-    accept_beta = np.zeros((k, d))
-    trials_beta = np.zeros((k, d))
-    accept_psi = np.zeros(k)
-    trials_psi = np.zeros(k)
+    # Columns 0..d-1 are the beta coordinates, column d is ln psi.
+    log_scale = np.log(np.column_stack([np.full((k, d), 0.1), np.full(k, 0.5)]))
+    accepted = np.zeros((k, d + 1))
+    trials = np.zeros((k, d + 1))
 
     s_count = config.n_stored
     stored_c = np.empty((s_count, k))
@@ -323,19 +306,17 @@ def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
         if spec.zero_inflated:
             update_zero_inflation(state, data, spec, rng)
         state.c = update_weights(state.z, spec.hyper, rng)
-        flags_b = update_coefficients(state, data, spec, np.exp(log_scale_beta), rng)
-        flags_p = update_precisions(state, data, spec, np.exp(log_scale_psi), rng)
+        flags = np.column_stack([
+            update_coefficients(state, data, spec, np.exp(log_scale[:, :d]), rng),
+            update_precisions(state, data, spec, np.exp(log_scale[:, d]), rng),
+        ])
         if sweep <= config.burn_in:
-            gain = sweep ** -0.6
-            delta_b = np.where(np.isnan(flags_b), 0.0, (flags_b - target) * gain)
-            delta_p = np.where(np.isnan(flags_p), 0.0, (flags_p - target) * gain)
-            log_scale_beta += delta_b
-            log_scale_psi += delta_p
-        if sweep > config.burn_in:
-            accept_beta += np.nan_to_num(flags_b)
-            trials_beta += ~np.isnan(flags_b)
-            accept_psi += np.nan_to_num(flags_p)
-            trials_psi += ~np.isnan(flags_p)
+            log_scale += np.where(np.isnan(flags), 0.0, (flags - target) * sweep ** -0.6)
+            if sweep % 200 == 0:
+                _check_finite(state, sweep, chain_id)
+        else:
+            accepted += np.nan_to_num(flags)
+            trials += ~np.isnan(flags)
             if (sweep - config.burn_in) % config.thin == 0 and s < s_count:
                 _check_finite(state, sweep, chain_id)
                 stored_c[s] = state.c
@@ -345,12 +326,10 @@ def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
                 if stored_pi is not None:
                     stored_pi[s] = state.pi
                 s += 1
-        elif sweep % 200 == 0:
-            _check_finite(state, sweep, chain_id)
 
     with np.errstate(invalid="ignore"):
-        rate_beta = np.where(trials_beta > 0, accept_beta / np.maximum(trials_beta, 1), np.nan)
-        rate_psi = np.where(trials_psi > 0, accept_psi / np.maximum(trials_psi, 1), np.nan)
+        rates = np.where(trials > 0, accepted / np.maximum(trials, 1), np.nan)
+    rate_beta, rate_psi = rates[:, :d], rates[:, d]
     # Weighted here, where the rates and the counts still share labels.
     mean_counts = stored_counts.mean(axis=0)
     return Trace(

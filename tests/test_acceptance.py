@@ -95,7 +95,7 @@ def test_criterion_2_conjugacy_exactness():
     m = 10 ** 5
     total = np.zeros(3)
     for _ in range(m):
-        total += update_weights(z, hyper, rng, k=3)
+        total += update_weights(z, hyper, rng)
     empirical = total / m
     alpha = np.array([420.1, 4091.1, 2607.1])
     a0 = alpha.sum()

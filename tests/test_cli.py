@@ -1,5 +1,6 @@
 """End-to-end tests for the CLI: ingestion, persistence, exit codes."""
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -25,8 +26,8 @@ from countmix.cli import (
     read_csv_table,
     run,
 )
-from countmix.model import CovariateColumn, Dataset, generate_synthetic
-from countmix.sampler import SamplerError
+from countmix.model import CovariateColumn, Dataset, Hyperparams, generate_synthetic
+from countmix.sampler import SamplerConfig, SamplerError
 
 
 def _write(path, text):
@@ -62,6 +63,57 @@ class TestConfig:
         assert sampler_cfg.iterations == 900   # flag wins
         assert sampler_cfg.burn_in == 300      # config wins over default
         assert sampler_cfg.thin == 1           # default
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        args = cli.build_parser().parse_args(["fit", "--input", "d.csv"])
+        _, spec, sampler_cfg = cli._fit_settings(args)
+        assert spec.hyper == Hyperparams()
+        assert sampler_cfg == SamplerConfig()
+
+    # A value other than the default for every field of both dataclasses.
+    FIELD_VALUES = {"alpha0": 0.5, "m0": 1.0, "s0": 5.0, "a0": -1.0, "b0": 3.0, "k_max": 5,
+                    "iterations": 600, "burn_in": 300, "thin": 2, "chains": 3,
+                    "master_seed": 7, "target_accept": 0.4}
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_every_field_is_a_setting(self, tmp_path, source):
+        fields = [f for cls in (Hyperparams, SamplerConfig) for f in dataclasses.fields(cls)]
+        assert sorted(f.name for f in fields) == sorted(self.FIELD_VALUES)
+        key_of = {field: key for key, field in cli._FIELD_NAMES.items()}
+        argv = ["fit", "--input", "d.csv"]
+        for f in fields:
+            assert self.FIELD_VALUES[f.name] != f.default, f.name
+            key = key_of.get(f.name, f.name)
+            if source == "flag":
+                argv += ["--" + key.replace("_", "-"), str(self.FIELD_VALUES[f.name])]
+            else:
+                with open(tmp_path / "run.cfg", "a") as fh:
+                    fh.write(f"{key} = {self.FIELD_VALUES[f.name]}\n")
+        if source == "config":
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        _, spec, sampler_cfg = cli._fit_settings(cli.build_parser().parse_args(argv))
+        assert {**dataclasses.asdict(spec.hyper),
+                **dataclasses.asdict(sampler_cfg)} == self.FIELD_VALUES
+
+    @pytest.mark.parametrize("command,line", [
+        ("fit", "iterations = 50"), ("fit", "burn_in = 10"), ("simulate", "kmax = 3"),
+    ])
+    def test_unknown_config_key_exits_before_running(self, tmp_path, monkeypatch, capsys,
+                                                     command, line):
+        # A key outside the command's table was once ignored without a word.
+        cfg = _write(tmp_path / "run.cfg", line + "\n")
+        path = _write(tmp_path / "d.csv", "y,x\n3,0.1\n2,0.2\n")
+        calls = []
+        monkeypatch.setattr(cli, "run_chains", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cli, "generate_synthetic", lambda *a, **k: calls.append(a))
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+        if command == "fit":
+            argv += ["--input", path]
+        assert run(argv) == EXIT_INPUT and not calls
+        assert not os.path.exists(tmp_path / "o")
+        err = capsys.readouterr().err
+        assert repr(line.split(" =")[0]) in err and "valid keys: " in err
+        assert ("iters" in err) == (command == "fit")
 
 
 class TestIngest:
@@ -157,6 +209,46 @@ class TestIngest:
         path = _write(tmp_path / "d.csv", 'y,site\n3,north\n2,"a\rb"\n')
         with pytest.raises(DataError, match=re.escape("column name 'site=a\\rb'")):
             ingest(path, categorical={"site": ("north", None)})
+
+    @pytest.mark.parametrize("header,message", [
+        ("y,y", "duplicate column name 'y'"),
+        ("y,x,x", "duplicate column name 'x'"),
+        ("y,intercept", "duplicate column name 'intercept'"),
+        ("y,,x", "column 2 has an empty name"),
+    ], ids=["outcome", "covariate", "intercept", "empty"])
+    def test_duplicate_or_empty_name(self, tmp_path, capsys, header, message):
+        # Before, these raised KeyError, failed in numpy, or fitted two
+        # "intercept" rows per component into irr_forest.csv.
+        width = header.count(",") + 1
+        path = _write(tmp_path / "d.csv", header + "\n"
+                      + "".join(f"{i}" + ",0.5" * (width - 1) + "\n" for i in (3, 2, 5)))
+        with pytest.raises(DataError, match=re.escape(message)):
+            ingest(path)
+        assert run(["fit", "--input", path,
+                    "--out", str(tmp_path / "f")] + FIT_FLAGS) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "f")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_malformed_input_is_a_data_error(self, tmp_path_factory, data):
+        # Duplicate or empty names, ragged rows, bad outcomes and cells:
+        # ingest returns a Dataset or raises DataError, never anything else.
+        name = st.sampled_from(["y", "x", "t", "intercept", "", " ", "t=b"])
+        cell = st.sampled_from(["0", "3", " 4 ", "-1", "2.5", "nan", "inf", "-inf", "1e400",
+                                "oops", "", "a", "b"]) | st.integers(-3, 10 ** 20).map(str)
+        header = data.draw(st.lists(name, min_size=1, max_size=4))
+        rows = data.draw(st.lists(st.lists(cell, min_size=max(len(header) - 1, 0),
+                                           max_size=len(header) + 1), max_size=5))
+        categorical = data.draw(st.sampled_from([{}, {"t": ("a", None)},
+                                                 {"t": ("a", ("a", "b"))}]))
+        path = tmp_path_factory.mktemp("bad") / "d.csv"
+        _write(path, "".join(",".join(line) + "\n" for line in [header] + rows))
+        try:
+            result = ingest(str(path), categorical=categorical)
+        except DataError:
+            return
+        assert isinstance(result, Dataset)
 
     def test_round_trip(self, tmp_path):
         data, _ = generate_synthetic(
@@ -303,6 +395,14 @@ class TestFit:
         assert len(meta["occupied"]) == 2
         summary = open(os.path.join(fit_dir, "summary.txt")).read()
         assert "occupied components: 2" in summary
+
+    def test_run_meta_records_every_field(self, small_fit):
+        _, fit_dir = small_fit
+        meta = json.loads(open(os.path.join(fit_dir, "run_meta.json")).read())
+        args = cli.build_parser().parse_args(["fit", "--input", "d.csv"] + FIT_FLAGS)
+        _, spec, sampler_cfg = cli._fit_settings(args)
+        assert meta["hyper"] == dataclasses.asdict(spec.hyper)
+        assert meta["sampler"] == dataclasses.asdict(sampler_cfg)
 
     def test_emitted_tables_reparse(self, small_fit):
         _, fit_dir = small_fit

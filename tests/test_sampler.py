@@ -121,7 +121,7 @@ class TestUpdateAssignments:
 class TestUpdateWeights:
     def test_empty_counts_sample_prior(self, rng):
         hyper = Hyperparams(alpha0=0.5, k_max=3)
-        draws = np.array([update_weights(np.empty(0, dtype=int), hyper, rng, k=3)
+        draws = np.array([update_weights(np.empty(0, dtype=int), hyper, rng)
                           for _ in range(20000)])
         se = math.sqrt((1 / 3) * (2 / 3) / 2.5 / draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - 1 / 3) < 4 * se)
@@ -136,7 +136,7 @@ class TestUpdateWeights:
         z = np.repeat([0, 1, 2], [420, 4091, 2607])
         hyper = Hyperparams(alpha0=0.1, k_max=3)
         m = 20000
-        draws = np.array([update_weights(z, hyper, rng, k=3) for _ in range(m)])
+        draws = np.array([update_weights(z, hyper, rng) for _ in range(m)])
         alpha = np.array([420.1, 4091.1, 2607.1])
         a0 = alpha.sum()
         mean = alpha / a0
