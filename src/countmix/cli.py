@@ -299,12 +299,6 @@ def export_dataset(data: Dataset, path: str, outcome: str = "y"):
     )
 
 
-def read_csv_table(path: str):
-    """Read an emitted table back into a list of dicts (strings)."""
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -450,7 +444,6 @@ def _write_fit_outputs(out_dir, data, spec, sampler_cfg, settings, relabeled,
 
     meta = {
         "variant": spec.variant,
-        "k_max": spec.hyper.k_max,
         "hyper": dataclasses.asdict(spec.hyper),
         "sampler": dataclasses.asdict(sampler_cfg),
         "column_names": list(data.column_names),
@@ -591,28 +584,30 @@ def cmd_report(args) -> int:
     print("\n".join(_component_tables(summaries, meta["column_names"])))
     occupied = [s.index for s in summaries if s.occupied]
 
-    # Hard-assignment cross-tabs against declared categorical covariates.
+    # Hard-assignment cross-tabs against the declared categorical covariates.
+    # assignments.csv holds row, component, then those columns sorted by name.
+    cat_cols = sorted(meta["categorical"])
     assign_path = os.path.join(trace_dir, "assignments.csv")
-    if os.path.exists(assign_path):
-        table = read_csv_table(assign_path)
-        cat_cols = [c for c in (table[0].keys() if table else []) if c not in ("row", "component")]
-        for col in cat_cols:
-            levels = sorted({row[col] for row in table})
-            counts = {j: {lev: 0 for lev in levels} for j in occupied}
+    if cat_cols and os.path.exists(assign_path):
+        with open(assign_path, newline="") as fh:
+            table = list(csv.reader(fh))[1:]
+        for j, col in enumerate(cat_cols, start=2):
+            levels = sorted({row[j] for row in table})
+            counts = {k: {lev: 0 for lev in levels} for k in occupied}
             for row in table:
-                j = int(row["component"])
-                if j in counts:
-                    counts[j][row[col]] += 1
+                k = int(row[1])
+                if k in counts:
+                    counts[k][row[j]] += 1
             rows = []
             print()
             print(f"share of {col} levels within each component (%)")
             print("component  " + "  ".join(levels))
-            for j in occupied:
-                total = sum(counts[j].values())
-                shares = [100.0 * counts[j][lev] / total if total else 0.0
+            for k in occupied:
+                total = sum(counts[k].values())
+                shares = [100.0 * counts[k][lev] / total if total else 0.0
                           for lev in levels]
-                rows.append([str(j)] + [repr(s) for s in shares])
-                print(f"{j:>9d}  " + "  ".join(_sig6(s) for s in shares))
+                rows.append([str(k)] + [repr(s) for s in shares])
+                print(f"{k:>9d}  " + "  ".join(_sig6(s) for s in shares))
             traceio.write_csv(os.path.join(out_dir, f"crosstab_{col}.csv"),
                               ["component"] + levels, rows)
     return EXIT_OK

@@ -171,15 +171,17 @@ def _nb_table(y, log_gamma_y1, psi) -> np.ndarray:
     return lg[..., :-1] - lg[..., -1:] - log_gamma_y1 + psi * np.log(psi)
 
 
-def _nb_eta_terms(yf, eta, psi) -> np.ndarray:
+def _nb_eta_terms(yf, eta, psi, out=None, work=None) -> np.ndarray:
     """The terms of ln NB(y | e^eta, psi) that involve the linear predictor.
 
     y eta - (psi + y) ln(psi + e^eta), with eta clamped to +/-LINPRED_CLAMP.
     yf and psi broadcast against eta, which must already have the result's
-    shape; eta is not modified.
+    shape; eta is not modified unless it is ``out``.  out and work, if
+    given, are float arrays of that shape filled instead of new ones.
     """
-    out = np.clip(eta, -LINPRED_CLAMP, LINPRED_CLAMP)
-    log_psi_mu = np.exp(out)
+    # np.maximum/np.minimum: np.clip's Python-level dispatch costs more on small arrays.
+    out = np.minimum(np.maximum(eta, -LINPRED_CLAMP, out=out), LINPRED_CLAMP, out=out)
+    log_psi_mu = np.exp(out, out=work)
     log_psi_mu += psi
     np.log(log_psi_mu, out=log_psi_mu)
     out -= log_psi_mu
@@ -187,6 +189,32 @@ def _nb_eta_terms(yf, eta, psi) -> np.ndarray:
     log_psi_mu *= psi
     out -= log_psi_mu
     return out
+
+
+def _log_pmf(data: Dataset, spec: ModelSpec, table, beta, psi, pi,
+             rows=slice(None), work=None) -> np.ndarray:
+    """K x len(rows) log pmf of the given rows under each component.
+
+    beta, psi and pi hold any K components, and table is their
+    ``_nb_table`` over ``data.y_unique``.  The sweep passes either its
+    occupied components and all rows, or all components and a few rows.
+    work, if given, is a (2, K, len(rows)) float array that the call fills
+    instead of allocating; the result is then work[0].
+    """
+    ll, tmp = (None, None) if work is None else work
+    ll = np.matmul(beta, data.X[rows].T, out=ll)
+    _nb_eta_terms(data._yf[rows], ll, psi[:, np.newaxis], out=ll, work=tmp)
+    # mode="clip" lets take write into tmp unbuffered; every index is in range.
+    ll += np.take(table, data.y_inverse[rows], axis=1, out=tmp, mode="clip")
+    if spec.zero_inflated:
+        if pi is None:
+            raise ValueError("zinb likelihood requires pi")
+        with np.errstate(divide="ignore"):
+            log_pi = np.log(pi)[:, np.newaxis]
+            ll += np.log1p(-pi)[:, np.newaxis]
+        zero = data.zero_mask[rows]
+        ll[:, zero] = np.logaddexp(log_pi, ll[:, zero])
+    return ll
 
 
 def loglik_matrix(data: Dataset, beta: np.ndarray, psi: np.ndarray,
@@ -197,18 +225,8 @@ def loglik_matrix(data: Dataset, beta: np.ndarray, psi: np.ndarray,
     reductions across components run over contiguous rows.  The psi-only
     terms are evaluated on the unique counts only.
     """
-    ll = _nb_eta_terms(data._yf, beta @ data.X.T, psi[:, np.newaxis])
     table = _nb_table(data.y_unique, data.log_gamma_y1, psi)
-    ll += np.take(table, data.y_inverse, axis=1)
-    if spec.zero_inflated:
-        if pi is None:
-            raise ValueError("zinb likelihood requires pi")
-        with np.errstate(divide="ignore"):
-            log_pi = np.log(pi)[:, np.newaxis]
-            ll += np.log1p(-pi)[:, np.newaxis]
-        zero = data.zero_mask
-        ll[:, zero] = np.logaddexp(log_pi, ll[:, zero])
-    return ll.T
+    return _log_pmf(data, spec, table, beta, psi, pi).T
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .model import (
     Dataset,
     ModelSpec,
     ParamState,
+    _log_pmf,
     _nb_eta_terms,
     _nb_table,
     loglik_matrix,
@@ -98,26 +99,86 @@ def _occupancy_weighted_rate(rates: np.ndarray, mean_counts: np.ndarray) -> floa
     return float(weighted.sum() / mean_counts.sum())
 
 
+def _to_weights(log_r: np.ndarray, log_c: np.ndarray, floor=-np.inf) -> np.ndarray:
+    """Turn K x n log pmf values into weights c_k f_k(y_n), in place.
+
+    Each column is scaled so that its largest weight, or e^floor if that is
+    larger, becomes 1; returns the ln of that per-column scale.
+    """
+    log_r += log_c[:, np.newaxis]
+    top = log_r.max(axis=0, initial=floor)
+    if not np.all(np.isfinite(top)):
+        raise SamplerError("all responsibilities underflowed for some observation")
+    log_r -= top
+    np.exp(log_r, out=log_r)
+    return top
+
+
 def _weighted_likelihood(data: Dataset, spec: ModelSpec, c, beta, psi, pi) -> np.ndarray:
     """K x N responsibilities up to a per-row factor: c_k NB_k(y_n), column max 1."""
     log_r = loglik_matrix(data, beta, psi, pi, spec).T
     with np.errstate(divide="ignore"):
-        log_r += np.log(c)[:, np.newaxis]
-    top = log_r.max(axis=0)
-    if not np.all(np.isfinite(top)):
-        raise SamplerError("all responsibilities underflowed for some observation")
-    log_r -= top
-    return np.exp(log_r, out=log_r)
+        _to_weights(log_r, np.log(c))
+    return log_r
+
+
+def _pick(cum: np.ndarray, total: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per column, the cell j with cum[j-1] <= u * total < cum[j].
+
+    cum holds cumulative weights down axis 0; a total above cum[-1] adds one
+    cell past the last, of mass total - cum[-1], drawn as j = len(cum).  A
+    cell of zero mass is never drawn: u * total is kept below total.
+    """
+    x = np.minimum(u * total, np.nextafter(total, 0.0))
+    return np.count_nonzero(x >= cum, axis=0)
 
 
 def update_assignments(state: ParamState, data: Dataset, spec: ModelSpec,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Draw z_n ~ Categorical(r_n) for every observation, in place."""
-    cum = np.cumsum(_weighted_likelihood(data, spec, state.c, state.beta,
-                                         state.psi, state.pi), axis=0)
-    u = rng.random(data.n) * cum[-1]
-    z = np.count_nonzero(u >= cum, axis=0)
-    np.clip(z, 0, state.c.shape[0] - 1, out=z)
+                       rng: np.random.Generator, work: np.ndarray | None = None) -> np.ndarray:
+    """Draw z_n ~ Categorical(r_n) for every observation, in place.
+
+    The kernel runs on the occupied components only.  The empty ones share
+    one envelope cell of mass c_E = sum of their c_k, which bounds their
+    weights c_k f_k(y_n) on every row because a pmf is at most 1.  Rows
+    drawn into that cell are evaluated on all K components: with
+    probability T_E / c_E, where T_E is the empty slots' exact weight, they
+    take an empty slot in proportion to its weight, and otherwise they draw
+    from their full K-way categorical.  That is the distribution a
+    rejection sampler on this envelope returns, reached without its loop,
+    so every z_n has exactly the dense draw's law.
+
+    work is a (2, K, N) float array for the kernel's temporaries.  run_chain
+    passes the same one every sweep, so they are not handed back to the
+    operating system and faulted in again.
+    """
+    c = state.c
+    if work is None:
+        work = np.empty((2, c.shape[0], data.n))
+    occupied = np.bincount(state.z, minlength=c.shape[0]) > 0
+    work = work[:, :np.count_nonzero(occupied)]
+    table = _nb_table(data.y_unique, data.log_gamma_y1, state.psi)
+    pi = state.pi
+    with np.errstate(divide="ignore"):
+        log_c = np.log(c)
+        log_c_env = np.log(c[~occupied].sum())
+    w = _log_pmf(data, spec, table[occupied], state.beta[occupied], state.psi[occupied],
+                 None if pi is None else pi[occupied], work=work)
+    top = _to_weights(w, log_c[occupied], floor=log_c_env)
+    cum = np.cumsum(w, axis=0, out=work[1])
+    pick = _pick(cum, cum[-1] + np.exp(log_c_env - top), rng.random(data.n))
+    z = np.flatnonzero(occupied).take(pick, mode="clip")
+    rows = np.flatnonzero(pick == cum.shape[0])        # drawn into the envelope cell
+    if rows.size:
+        w = _log_pmf(data, spec, table, state.beta, state.psi, pi, rows)
+        row_top = _to_weights(w, log_c)
+        u = rng.random((2, rows.size))
+        # Keep an empty slot with probability T_E / c_E, compared in log
+        # space; T_E is read off the rows' max-subtracted weights.
+        with np.errstate(divide="ignore"):
+            keep = np.log(u[0]) + log_c_env < row_top + np.log(w[~occupied].sum(axis=0))
+        w[occupied[:, np.newaxis] & keep] = 0.0
+        cum_r = np.cumsum(w, axis=0)
+        z[rows] = _pick(cum_r, cum_r[-1], u[1])
     state.z = z
     return z
 
@@ -300,9 +361,10 @@ def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
     stored_pi = np.empty((s_count, k)) if spec.zero_inflated else None
 
     target = config.target_accept
+    work = np.empty((2, k, data.n))
     s = 0
     for sweep in range(1, config.iterations + 1):
-        update_assignments(state, data, spec, rng)
+        update_assignments(state, data, spec, rng, work)
         if spec.zero_inflated:
             update_zero_inflation(state, data, spec, rng)
         state.c = update_weights(state.z, spec.hyper, rng)

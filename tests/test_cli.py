@@ -23,11 +23,16 @@ from countmix.cli import (
     export_dataset,
     ingest,
     parse_config,
-    read_csv_table,
     run,
 )
 from countmix.model import CovariateColumn, Dataset, Hyperparams, generate_synthetic
 from countmix.sampler import SamplerConfig, SamplerError
+
+
+def read_csv_table(path):
+    """An emitted table as a list of dicts (strings)."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def _write(path, text):
@@ -403,6 +408,8 @@ class TestFit:
         _, spec, sampler_cfg = cli._fit_settings(args)
         assert meta["hyper"] == dataclasses.asdict(spec.hyper)
         assert meta["sampler"] == dataclasses.asdict(sampler_cfg)
+        # k_max is recorded once, under hyper.
+        assert "k_max" not in meta
 
     def test_emitted_tables_reparse(self, small_fit):
         _, fit_dir = small_fit
@@ -560,6 +567,24 @@ class TestReport:
         assert any(t == pytest.approx(100.0, abs=1e-9) for t in totals)
         for t in totals:
             assert t == pytest.approx(100.0, abs=1e-9) or t == 0.0
+
+    @pytest.mark.parametrize("name", ["row", "component"])
+    def test_crosstab_of_a_column_named_like_the_assignment_columns(self, tmp_path, name):
+        gen = np.random.default_rng(15)
+        n = 200
+        levels = gen.choice(["a", "b"], size=n)
+        y = np.where(gen.random(n) < 0.5, gen.poisson(2.0, n), gen.poisson(30.0, n))
+        lines = [f"y,{name}"] + [f"{y[i]},{levels[i]}" for i in range(n)]
+        path = _write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+        fit_dir, out = str(tmp_path / "fit"), str(tmp_path / "rep")
+        code = run(["fit", "--input", path, "--categorical", f"{name}=a",
+                    "--out", fit_dir, "--kmax", "3", "--iters", "200",
+                    "--burnin", "100", "--chains", "2", "--seed", "5"])
+        assert code in (EXIT_OK, EXIT_CONVERGENCE)
+        assert run(["report", "--traces", fit_dir, "--out", out]) == EXIT_OK
+        rows = read_csv_table(os.path.join(out, f"crosstab_{name}.csv"))
+        assert rows and all(set(row) == {"component", "a", "b"} for row in rows)
+        assert any(float(row["a"]) + float(row["b"]) == pytest.approx(100.0) for row in rows)
 
     @pytest.mark.parametrize("model", ["nb", "zinb"])
     def test_tables_equal_the_fits(self, tmp_path, model):

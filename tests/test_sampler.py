@@ -14,8 +14,10 @@ from countmix.model import (
     ParamState,
     generate_synthetic,
 )
+from countmix import sampler
 from countmix.sampler import (
     SamplerConfig,
+    SamplerError,
     _occupancy_weighted_rate,
     _weighted_likelihood,
     run_chain,
@@ -116,6 +118,108 @@ class TestUpdateAssignments:
         total = counts.sum()
         se = math.sqrt(0.25 * 0.75 / total)
         assert abs(counts[0] / total - 0.25) < 4 * se
+
+    # Six rows, K_max = 4: z sits on slots 0-1, and the empty slots 2-3 carry
+    # heavy weights and parameters of their own, so that most rows' draws
+    # pass through the envelope cell of the empty slots.
+    ORACLE_Y = [0, 0, 3, 7, 15, 40]
+    ORACLE_X1 = [-1.0, 0.5, 0.0, 1.2, -0.4, 0.8]
+    ORACLE_Z = [0, 1, 0, 1, 0, 1]
+    ORACLE_DRAWS = 40_000
+    ORACLE_COPIES = 2_000      # each draw updates this many copies of every row
+
+    @staticmethod
+    def _envelope_rows(monkeypatch):
+        """Count the rows update_assignments evaluates on all K components."""
+        seen = []
+        kernel = sampler._log_pmf
+
+        def counting(data, spec, table, beta, psi, pi, rows=slice(None), **kwargs):
+            if not isinstance(rows, slice):
+                seen.append(len(rows))
+            return kernel(data, spec, table, beta, psi, pi, rows, **kwargs)
+
+        monkeypatch.setattr(sampler, "_log_pmf", counting)
+        return seen
+
+    @pytest.mark.parametrize("variant", ["nb", "zinb"])
+    def test_envelope_draw_matches_dense_categorical(self, variant, monkeypatch):
+        reps = self.ORACLE_COPIES
+        x1 = np.tile(self.ORACLE_X1, reps)
+        data = Dataset(y=np.tile(self.ORACLE_Y, reps), X=np.column_stack([np.ones(x1.size), x1]),
+                       column_names=("intercept", "x1"))
+        spec = ModelSpec(variant, Hyperparams(k_max=4))
+        state = ParamState(
+            c=np.array([0.3, 0.25, 0.25, 0.2]),
+            beta=np.array([[math.log(2.0), 0.3], [math.log(10.0), -0.2],
+                           [math.log(30.0), 0.1], [0.0, 0.0]]),
+            psi=np.array([2.0, 8.0, 5.0, 1.0]),
+            z=np.tile(self.ORACLE_Z, reps),
+            pi=np.array([0.1, 0.2, 0.5, 0.3]) if variant == "zinb" else None,
+        )
+        r = _weighted_likelihood(data, spec, state.c, state.beta, state.psi, state.pi)[:, :6]
+        expected = self.ORACLE_DRAWS * (r / r.sum(axis=0)).T
+        envelope_rows = self._envelope_rows(monkeypatch)
+        rng = np.random.default_rng(2024)
+        counts = np.zeros((6, 4))
+        for _ in range(self.ORACLE_DRAWS // reps):
+            state.z = np.tile(self.ORACLE_Z, reps)
+            z = update_assignments(state, data, spec, rng).reshape(reps, 6)
+            assert np.all((z >= 0) & (z < 4))
+            for k in range(4):
+                counts[:, k] += (z == k).sum(axis=0)
+        assert len(envelope_rows) == self.ORACLE_DRAWS // reps
+        assert sum(envelope_rows) > 0.2 * self.ORACLE_DRAWS * 6
+        for n in range(6):
+            assert stats.chisquare(counts[n], expected[n]).pvalue > 1e-3, n
+
+    def test_all_slots_occupied_never_draws_the_envelope(self, small_dataset, rng,
+                                                         monkeypatch):
+        envelope_rows = self._envelope_rows(monkeypatch)
+        state = _state_for(small_dataset, 3, c=[0.2, 0.3, 0.5],
+                           beta=[[0.5, 0.1], [1.5, 0.0], [2.5, -0.1]], psi=[1.0, 2.0, 3.0])
+        for _ in range(200):
+            state.z = np.arange(small_dataset.n) % 3
+            update_assignments(state, small_dataset, ModelSpec("nb"), rng)
+        # An empty slot of zero weight leaves c_E = 0 too.
+        state.c = np.array([0.4, 0.6, 0.0])
+        for _ in range(200):
+            state.z = np.arange(small_dataset.n) % 2
+            z = update_assignments(state, small_dataset, ModelSpec("nb"), rng)
+            assert np.all(z < 2)
+        assert envelope_rows == []
+
+    def test_single_slot(self, small_dataset, rng):
+        state = _state_for(small_dataset, 1, beta=[[1.0, 0.2]])
+        z = update_assignments(state, small_dataset, ModelSpec("nb", Hyperparams(k_max=1)), rng)
+        np.testing.assert_array_equal(z, 0)
+
+    def test_underflowed_occupied_weights_draw_exactly(self, rng):
+        # At y = 0 the occupied slots' log pmf is about -1800 and the empty
+        # slots' about -800 (slots 2, 3) or -1300 (slot 1 when emptied), so
+        # every weight underflows next to c_E, yet the draw must follow the
+        # exact ratios among the slots that can matter.
+        data = Dataset(y=[0], X=np.ones((1, 1)), column_names=("intercept",))
+        spec = ModelSpec("nb", Hyperparams(k_max=4))
+        state = _state_for(data, 4, c=[0.3, 0.25, 0.25, 0.2],
+                           beta=[[40.0], [30.0], [20.0], [20.0]], psi=np.full(4, 50.0))
+        z = np.empty(4000, dtype=int)
+        for i in range(z.size):
+            state.z[:] = 0
+            z[i] = update_assignments(state, data, spec, rng)[0]
+        assert set(np.unique(z)) == {2, 3}
+        share = np.mean(z == 2)
+        assert abs(share - 0.25 / 0.45) < 4 * math.sqrt(share * (1 - share) / z.size)
+        # With slot 3 out of reach, only slot 2 is ever drawn, never the last slot.
+        state.beta[3, 0] = 35.0
+        for _ in range(200):
+            state.z[:] = 0
+            assert update_assignments(state, data, spec, rng)[0] == 2
+
+    def test_nonfinite_occupied_weights_raise(self, small_dataset, rng):
+        state = _state_for(small_dataset, 3, beta=[[np.nan, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(SamplerError):
+            update_assignments(state, small_dataset, ModelSpec("nb"), rng)
 
 
 class TestUpdateWeights:
