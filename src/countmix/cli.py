@@ -373,16 +373,14 @@ def _fit_settings(args):
 
 def _tracked_rhats(relabeled, summaries, column_names):
     """Split-chain R-hat for every occupied component's weight and betas."""
-    values = {}
-    for summary in summaries:
-        if not summary.occupied:
-            continue
-        j = summary.index
-        values[f"c[{j}]"] = rhat(relabeled, lambda t, j=j: t.c[:, j])
-        for dd, col in enumerate(column_names):
-            values[f"beta[{j}].{col}"] = rhat(
-                relabeled, lambda t, j=j, dd=dd: t.beta[:, j, dd])
-    return values
+    occupied = [s.index for s in summaries if s.occupied]
+    values = np.column_stack([
+        rhat(np.stack([t.c[:, occupied] for t in relabeled])),
+        rhat(np.stack([t.beta[:, occupied] for t in relabeled])),
+    ])
+    names = [name for j in occupied
+             for name in [f"c[{j}]"] + [f"beta[{j}].{col}" for col in column_names]]
+    return dict(zip(names, values.ravel().tolist()))
 
 
 FIT_TABLES = ("prevalence.csv", "irr_forest.csv", "pmf_curves.csv")
@@ -452,7 +450,8 @@ def _write_fit_outputs(out_dir, data, spec, sampler_cfg, settings, relabeled,
         "n": data.n,
         "occupied": [s.index for s in summaries if s.occupied],
         "occupancy_threshold": settings["occupancy_threshold"],
-        "rhat": {k: (None if v is None else float(v)) for k, v in rhats.items()},
+        # Strict JSON has no inf: a non-finite R-hat is recorded as null.
+        "rhat": {k: (v if math.isfinite(v) else None) for k, v in rhats.items()},
         "rhat_threshold": settings["rhat_threshold"],
         "categorical": {c: settings["categorical"][c][0] for c in settings["categorical"]},
     }
@@ -557,6 +556,20 @@ def cmd_fit(args) -> int:
 # report
 
 
+# The run_meta.json fields report reads; a dot steps into a nested object.
+REPORT_META_KEYS = ("sampler.chains", "y_max", "reference_x", "occupancy_threshold",
+                    "column_names", "categorical")
+
+
+def _meta_field(meta, key: str):
+    """The run_meta.json value at a dotted key; a DataError names a missing one."""
+    for part in key.split("."):
+        if not isinstance(meta, dict) or part not in meta:
+            raise DataError(f"run_meta.json has no {key!r} field")
+        meta = meta[part]
+    return meta
+
+
 def cmd_report(args) -> int:
     """Re-render the fit's tables from its persisted, relabeled chains."""
     trace_dir = args.traces
@@ -568,8 +581,10 @@ def cmd_report(args) -> int:
             raise DataError(f"missing run_meta.json in {trace_dir}")
         with open(meta_path) as fh:
             meta = json.load(fh)
+        chains, y_max, reference_x, threshold, column_names, categorical = (
+            _meta_field(meta, key) for key in REPORT_META_KEYS)
         traces = []
-        for cid in range(meta["sampler"]["chains"]):
+        for cid in range(chains):
             path = os.path.join(trace_dir, f"chain_{cid}.csv")
             if not os.path.exists(path):
                 raise DataError(f"missing chain file {path}")
@@ -577,16 +592,15 @@ def cmd_report(args) -> int:
             traces.append(Trace(counts=None, chain_id=cid, column_names=columns, **arrays))
     except traceio.ChecksumError as exc:
         raise DataError(str(exc)) from exc
-    summaries = component_summary(traces, meta["y_max"], meta["reference_x"],
-                                  meta["occupancy_threshold"])
+    summaries = component_summary(traces, y_max, reference_x, threshold)
     os.makedirs(out_dir, exist_ok=True)
-    _write_tables(out_dir, summaries, meta["column_names"], REPORT_TABLES)
-    print("\n".join(_component_tables(summaries, meta["column_names"])))
+    _write_tables(out_dir, summaries, column_names, REPORT_TABLES)
+    print("\n".join(_component_tables(summaries, column_names)))
     occupied = [s.index for s in summaries if s.occupied]
 
     # Hard-assignment cross-tabs against the declared categorical covariates.
     # assignments.csv holds row, component, then those columns sorted by name.
-    cat_cols = sorted(meta["categorical"])
+    cat_cols = sorted(categorical)
     assign_path = os.path.join(trace_dir, "assignments.csv")
     if cat_cols and os.path.exists(assign_path):
         with open(assign_path, newline="") as fh:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import _log_gamma_raw
-from .model import Dataset, LINPRED_CLAMP, ModelSpec, _nb_eta_terms, _nb_table
-from .sampler import Trace, _weighted_likelihood
+from .model import Dataset, LINPRED_CLAMP, ModelSpec, _log_pmf, _nb_eta_terms, _nb_table
+from .sampler import Trace, _to_weights
 
 __all__ = [
     "RelabeledTrace",
@@ -81,46 +81,44 @@ def apply_permutations(trace: Trace, perms: np.ndarray) -> RelabeledTrace:
     )
 
 
-def relabel(traces, reference_x=None, data: Dataset | None = None,
-            weight_floor: float = EMPTY_WEIGHT_FLOOR) -> list[RelabeledTrace]:
+def relabel(traces, reference_x, weight_floor: float = EMPTY_WEIGHT_FLOOR
+            ) -> list[RelabeledTrace]:
     """Order components ascending in mu_k(reference_x) within every state.
 
     Ties break by ascending psi then original index; components below the
     weight floor sort last so empty prior draws stay out of the occupied
-    slots.  reference_x defaults to the column means of data.X.
+    slots.  The CLI passes the column means of the design matrix.
     """
     traces = list(traces)
     if not traces:
         raise ValueError("need at least one trace")
-    if reference_x is None:
-        if data is None:
-            raise ValueError("pass reference_x or data to derive it from")
-        reference_x = data.X.mean(axis=0)
     reference_x = np.asarray(reference_x, dtype=float)
     return [_relabel_one(t, reference_x, weight_floor) for t in traces]
 
 
-def rhat(traces, scalar_extractor=None):
-    """Split-chain potential scale reduction for one scalar.
+def rhat(chains):
+    """Split-chain potential scale reduction, per trailing index.
 
-    ``traces`` may be Trace objects (with scalar_extractor mapping each to
-    a 1-D series) or plain 1-D arrays.  Returns a float >= 1 up to
-    floating error; 1.0 when every within-chain variance is zero.
+    chains is a (C, S, ...) array, or C equal-length series: each chain's
+    first S // 2 * 2 states are split into two halves.  Returns a float for
+    (C, S) and an array of shape chains.shape[2:] otherwise; 1.0 where every
+    half is the same constant, inf where every half is constant but their
+    values differ.
     """
-    if scalar_extractor is not None:
-        series = [np.asarray(scalar_extractor(t), dtype=float) for t in traces]
-    else:
-        series = [np.asarray(t, dtype=float) for t in traces]
-    if len(series) < 2 or any(len(x) < 4 for x in series):
+    x = np.asarray(chains, dtype=float)
+    if x.ndim < 2 or x.shape[0] < 2 or x.shape[1] < 4:
         raise ValueError("rhat needs >= 2 chains of length >= 4")
-    halves = [h for x in series for h in np.split(x[: len(x) // 2 * 2], 2)]
-    n = min(len(h) for h in halves)
-    halves = np.stack([h[:n] for h in halves])
-    within = halves.var(axis=1, ddof=1).mean()
-    between = n * halves.mean(axis=1).var(ddof=1)
-    if within == 0.0:
-        return 1.0
-    return float(np.sqrt(((n - 1) / n * within + between / n) / within))
+    n = x.shape[1] // 2
+    # Halves as contiguous rows of a (..., 2C, n) array, so that each variance
+    # and mean is a pairwise sum over one contiguous row.
+    halves = x[:, :2 * n].reshape(2 * x.shape[0], n, *x.shape[2:])
+    halves = np.ascontiguousarray(np.moveaxis(halves, (0, 1), (-2, -1)))
+    within = halves.var(axis=-1, ddof=1).mean(axis=-1)
+    between = n * halves.mean(axis=-1).var(axis=-1, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(((n - 1) / n * within + between / n) / within)
+    r = np.where(within == 0.0, np.where(between == 0.0, 1.0, np.inf), r)
+    return float(r) if r.ndim == 0 else r
 
 
 def ess(samples):
@@ -181,18 +179,24 @@ def hard_assignments(traces, data: Dataset, spec: ModelSpec) -> np.ndarray:
     """Argmax component of the trace-averaged responsibilities per row.
 
     Responsibilities are recomputed from (c, beta, psi[, pi]) on a strided
-    subset of stored states (HARD_ASSIGNMENT_STATES across all chains); ties go
-    to the lower index.  Invariant to the order chains are supplied in.
+    subset of stored states (HARD_ASSIGNMENT_STATES across all chains)
+    through the sweep's kernel, into one work array; ties go to the lower
+    index.  Invariant to the order chains are supplied in.
     """
     traces = sorted(traces, key=lambda t: t.chain_id)
     per_chain = max(1, HARD_ASSIGNMENT_STATES // max(len(traces), 1))
-    total = np.zeros((traces[0].k, data.n))
+    work = np.empty((2, traces[0].k, data.n))
+    total = np.zeros(work.shape[1:])
     count = 0
     for trace in traces:
         for s in _strided_indices(len(trace), per_chain):
-            pi = None if trace.pi is None else trace.pi[s]
-            r = _weighted_likelihood(data, spec, trace.c[s], trace.beta[s], trace.psi[s], pi)
-            total += r / r.sum(axis=0)
+            psi, pi = trace.psi[s], None if trace.pi is None else trace.pi[s]
+            table = _nb_table(data.y_unique, data.log_gamma_y1, psi)
+            r = _log_pmf(data, spec, table, trace.beta[s], psi, pi, work=work)
+            with np.errstate(divide="ignore"):
+                _to_weights(r, np.log(trace.c[s]))
+            r /= r.sum(axis=0)
+            total += r
             count += 1
     total /= count
     return np.argmax(total, axis=0)

@@ -19,7 +19,6 @@ __all__ = [
     "ParamState",
     "CovariateColumn",
     "LINPRED_CLAMP",
-    "loglik_matrix",
     "generate_synthetic",
 ]
 
@@ -197,7 +196,8 @@ def _log_pmf(data: Dataset, spec: ModelSpec, table, beta, psi, pi,
 
     beta, psi and pi hold any K components, and table is their
     ``_nb_table`` over ``data.y_unique``.  The sweep passes either its
-    occupied components and all rows, or all components and a few rows.
+    occupied components and all rows, or all components and a few rows;
+    ``hard_assignments`` passes all components and all rows.
     work, if given, is a (2, K, len(rows)) float array that the call fills
     instead of allocating; the result is then work[0].
     """
@@ -215,18 +215,6 @@ def _log_pmf(data: Dataset, spec: ModelSpec, table, beta, psi, pi,
         zero = data.zero_mask[rows]
         ll[:, zero] = np.logaddexp(log_pi, ll[:, zero])
     return ll
-
-
-def loglik_matrix(data: Dataset, beta: np.ndarray, psi: np.ndarray,
-                  pi: np.ndarray | None, spec: ModelSpec) -> np.ndarray:
-    """N x K matrix of per-observation, per-component log pmf values.
-
-    The result is the transpose of a C-ordered K x N array, so that
-    reductions across components run over contiguous rows.  The psi-only
-    terms are evaluated on the unique counts only.
-    """
-    table = _nb_table(data.y_unique, data.log_gamma_y1, psi)
-    return _log_pmf(data, spec, table, beta, psi, pi).T
 
 
 @dataclass(frozen=True)

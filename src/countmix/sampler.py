@@ -23,7 +23,6 @@ from .model import (
     _log_pmf,
     _nb_eta_terms,
     _nb_table,
-    loglik_matrix,
 )
 from .distributions import sample_dirichlet
 
@@ -112,14 +111,6 @@ def _to_weights(log_r: np.ndarray, log_c: np.ndarray, floor=-np.inf) -> np.ndarr
     log_r -= top
     np.exp(log_r, out=log_r)
     return top
-
-
-def _weighted_likelihood(data: Dataset, spec: ModelSpec, c, beta, psi, pi) -> np.ndarray:
-    """K x N responsibilities up to a per-row factor: c_k NB_k(y_n), column max 1."""
-    log_r = loglik_matrix(data, beta, psi, pi, spec).T
-    with np.errstate(divide="ignore"):
-        _to_weights(log_r, np.log(c))
-    return log_r
 
 
 def _pick(cum: np.ndarray, total: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -287,9 +278,10 @@ def update_zero_inflation(state: ParamState, data: Dataset, spec: ModelSpec,
     if zero_idx.size:
         zk = state.z[zero_idx]
         eta = np.einsum("nd,nd->n", data.X[zero_idx], state.beta[zk])
-        # y_unique[0] is 0 here, so table column 0 is ln NB(0)'s psi-only part.
-        table = _nb_table(data.y_unique, data.log_gamma_y1, state.psi)
-        log_nb0 = table[zk, 0] + _nb_eta_terms(0.0, eta, state.psi[zk])
+        # ln NB(0)'s psi-only part: the y = 0 column of _nb_table, whose
+        # ln Gamma(y + psi) - ln Gamma(psi) is exactly 0 there.
+        psi_part = state.psi * np.log(state.psi) - data.log_gamma_y1[0]
+        log_nb0 = psi_part[zk] + _nb_eta_terms(0.0, eta, state.psi[zk])
         pi_z = state.pi[zk]
         p1 = pi_z
         p0 = (1.0 - pi_z) * np.exp(log_nb0)

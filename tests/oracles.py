@@ -9,6 +9,7 @@ independent formula.
 import numpy as np
 
 from countmix.distributions import _log_gamma_raw, _validate_nb_params
+from countmix.model import LINPRED_CLAMP
 
 
 def _validate_counts(y):
@@ -60,3 +61,16 @@ def zinb_log_pmf(y, pi, mu, psi):
                    deflated)
     scalar = all(np.isscalar(v) for v in (y, pi, mu, psi))
     return float(out) if scalar else out
+
+
+def log_pmf_matrix(data, beta, psi, pi=None):
+    """N x K log pmf of every row of a Dataset under every component.
+
+    beta is (K, D), psi and pi are (K,); pi=None gives the NB pmf, else the
+    ZINB pmf.  The linear predictor is clamped to +/-LINPRED_CLAMP, as the
+    library's kernel clamps it.
+    """
+    eta = data.X @ np.asarray(beta, dtype=float).T
+    mu = np.exp(np.clip(eta, -LINPRED_CLAMP, LINPRED_CLAMP))
+    y = data.y[:, np.newaxis]
+    return negbin_log_pmf(y, mu, psi) if pi is None else zinb_log_pmf(y, pi, mu, psi)

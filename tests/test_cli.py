@@ -502,6 +502,22 @@ class TestFit:
                    + FIT_FLAGS)
         assert code == EXIT_CONVERGENCE
 
+    def test_infinite_rhat_is_null_in_run_meta(self, small_fit, tmp_path, monkeypatch, capsys):
+        # Chains stuck on distinct constants have within-chain variance 0.
+        sim_dir, _ = small_fit
+        monkeypatch.setattr(cli, "rhat", lambda x: np.full(np.shape(x)[2:], np.inf))
+        out = tmp_path / "f"
+        code = run(["fit", "--input", os.path.join(sim_dir, "data.csv"),
+                    "--out", str(out)] + FIT_FLAGS)
+        assert code == EXIT_CONVERGENCE
+        assert "R-hat inf" in capsys.readouterr().err
+
+        def reject(constant):
+            raise AssertionError(f"run_meta.json holds {constant}")
+
+        meta = json.loads((out / "run_meta.json").read_text(), parse_constant=reject)
+        assert meta["rhat"] and all(v is None for v in meta["rhat"].values())
+
     def test_degenerate_fit_exit_code(self, small_fit, tmp_path, capsys):
         sim_dir, _ = small_fit
         code = run(["fit", "--input", os.path.join(sim_dir, "data.csv"),
@@ -625,6 +641,25 @@ class TestReport:
         with open(meta_path, "w") as fh:
             json.dump(meta, fh)
         assert run(["report", "--traces", edited]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("key", [None, "sampler.chains", "y_max", "reference_x",
+                                     "occupancy_threshold", "column_names", "categorical"])
+    def test_malformed_meta_exit_code(self, small_fit, tmp_path, capsys, key):
+        import shutil
+        _, fit_dir = small_fit
+        edited = str(tmp_path / "edited")
+        shutil.copytree(fit_dir, edited)
+        meta_path = os.path.join(edited, "run_meta.json")
+        meta = json.loads(open(meta_path).read())
+        if key is None:
+            meta = [1, 2]                   # valid JSON, but not an object
+        else:
+            del (meta["sampler"] if key == "sampler.chains" else meta)[key.split(".")[-1]]
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh)
+        capsys.readouterr()
+        assert run(["report", "--traces", edited]) == EXIT_INPUT
+        assert repr(key or "sampler.chains") in capsys.readouterr().err
 
     def test_corrupted_trace_exit_code(self, small_fit, tmp_path):
         import shutil

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from countmix.diagnostics import (
+    HARD_ASSIGNMENT_STATES,
     DegenerateFitError,
     component_summary,
     ess,
@@ -21,10 +22,9 @@ from countmix.model import (
     Hyperparams,
     ModelSpec,
     generate_synthetic,
-    loglik_matrix,
 )
 from countmix.sampler import SamplerConfig, Trace, run_chain
-from oracles import negbin_log_pmf
+from oracles import log_pmf_matrix, negbin_log_pmf
 
 
 def _ordered_trace(rng, s=60, k=3, d=2, n=25, chain_id=0):
@@ -102,7 +102,7 @@ class TestRelabel:
         (rel,) = relabel([shuffled], reference_x=REF_X, weight_floor=0.0)
 
         def mixture_loglik(t, s):
-            ll = loglik_matrix(small_dataset, t.beta[s], t.psi[s], None, spec) + np.log(t.c[s])
+            ll = log_pmf_matrix(small_dataset, t.beta[s], t.psi[s]) + np.log(t.c[s])
             top = ll.max(axis=1)
             return float(np.sum(top + np.log(np.exp(ll - top[:, np.newaxis]).sum(axis=1))))
 
@@ -114,10 +114,10 @@ class TestRelabel:
                                           shuffled.counts[s, rel.permutations[s]])
 
     def test_requires_reference(self, rng):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             relabel([_ordered_trace(rng)])
         with pytest.raises(ValueError):
-            relabel([])
+            relabel([], reference_x=REF_X)
 
 
 class TestRhat:
@@ -142,10 +142,24 @@ class TestRhat:
         chains = [trend + gen.normal(0, 0.1, size=4000) for _ in range(2)]
         assert rhat(chains) > 1.5
 
-    def test_extractor(self, rng):
-        traces = [_ordered_trace(rng, chain_id=i) for i in range(2)]
-        value = rhat(traces, scalar_extractor=lambda t: t.beta[:, 0, 0])
-        assert value >= 1.0 - 1e-12
+    def test_constant_halves_that_differ(self):
+        # Every split half is constant, so the within-chain variance is 0,
+        # but the halves disagree: no number of draws makes them agree.
+        assert rhat([np.ones(100), np.full(100, 5.0)]) == math.inf
+        jump = np.repeat([0.0, 1.0], 50)
+        assert rhat([jump, jump]) == math.inf
+
+    def test_stacked_trailing_axes(self, rng):
+        traces = [_ordered_trace(rng, chain_id=i) for i in range(3)]
+        beta = np.stack([t.beta for t in traces])            # (C, S, K, D)
+        beta[:, :, 2, 1] = 0.25                               # one constant column
+        values = rhat(beta)
+        assert values.shape == beta.shape[2:]
+        for j in range(3):
+            for d in range(2):
+                assert values[j, d] == rhat(beta[:, :, j, d])
+        assert values[2, 1] == 1.0
+        assert np.all(np.isfinite(values))
 
     def test_needs_two_chains(self):
         with pytest.raises(ValueError):
@@ -247,7 +261,7 @@ def separated_fit(two_component_truth_module):
     spec = ModelSpec("nb", Hyperparams(k_max=5))
     cfg = SamplerConfig(iterations=4000, burn_in=2000, chains=2, master_seed=3)
     traces = [run_chain(spec, data, cfg, chain_id=i) for i in range(2)]
-    rel = relabel(traces, data=data)
+    rel = relabel(traces, reference_x=data.X.mean(axis=0))
     return data, z_true, spec, rel
 
 
@@ -286,6 +300,42 @@ class TestHardAssignments:
                       counts=None, pi=None, chain_id=0)
         assign = hard_assignments([trace], data, spec)
         np.testing.assert_array_equal(assign, [0, 0])
+
+
+    @pytest.mark.parametrize("zinb", [False, True], ids=["nb", "zinb"])
+    def test_matches_the_term_by_term_responsibilities(self, zinb):
+        # Argmax of the oracle's normalised c_k f_k(y_n), averaged over the
+        # same strided states: HARD_ASSIGNMENT_STATES split evenly over chains.
+        gen = np.random.default_rng(11)
+        n, s, k = 300, 350, 4
+        x1 = gen.standard_normal(n)
+        y = np.where(gen.random(n) < 0.2, 0, gen.poisson(np.exp(gen.uniform(0, 4, n))))
+        data = Dataset(y=y, X=np.column_stack([np.ones(n), x1]),
+                       column_names=("intercept", "x1"))
+        spec = ModelSpec("zinb" if zinb else "nb", Hyperparams(k_max=k))
+        # States scattered around four components with distinct means and
+        # zero-inflation levels, with weights that vary from state to state.
+        centre = np.array([[0.2, 0.3], [1.4, -0.2], [2.6, 0.1], [3.8, 0.0]])
+        pi_centre = np.array([0.6, 0.05, 0.3, 0.01])
+        traces = [Trace(c=gen.dirichlet(np.full(k, 2.0), size=s),
+                        beta=centre + gen.normal(0.0, 0.6, size=(s, k, 2)),
+                        psi=np.exp(gen.normal(1.5, 0.5, size=(s, k))), counts=None,
+                        pi=np.clip(pi_centre + gen.normal(0.0, 0.05, size=(s, k)), 0.0, 1.0)
+                        if zinb else None,
+                        chain_id=cid) for cid in (1, 0)]
+        total = np.zeros((n, k))
+        per_chain = HARD_ASSIGNMENT_STATES // 2
+        for t in (traces[1], traces[0]):
+            for i in np.linspace(0, s - 1, per_chain).round().astype(int):
+                log_r = log_pmf_matrix(data, t.beta[i], t.psi[i],
+                                       t.pi[i] if zinb else None) + np.log(t.c[i])
+                r = np.exp(log_r - log_r.max(axis=1, keepdims=True))
+                total += r / r.sum(axis=1, keepdims=True)
+        expected = np.argmax(total, axis=1)
+        top_two = np.sort(total, axis=1)[:, -2:]
+        assert np.all(top_two[:, 1] - top_two[:, 0] > 1e-9)   # no rounding-level ties
+        assert len(np.unique(expected)) == k
+        np.testing.assert_array_equal(hard_assignments(traces, data, spec), expected)
 
 
 class TestComponentSummary:
