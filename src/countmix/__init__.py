@@ -17,7 +17,6 @@ from .model import (
 from .sampler import SamplerConfig, SamplerError, Trace, run_chain, run_chains
 from .diagnostics import (
     ComponentSummary,
-    RelabeledTrace,
     component_summary,
     ess,
     hard_assignments,

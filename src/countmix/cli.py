@@ -304,12 +304,7 @@ def export_dataset(data: Dataset, path: str, outcome: str = "y"):
 
 
 def _covariates_from_json(entries):
-    cols = []
-    for entry in entries:
-        name, kind = entry[0], entry[1]
-        param = float(entry[2]) if len(entry) > 2 else 0.5
-        cols.append(CovariateColumn(name=name, kind=kind, param=param))
-    return cols
+    return [CovariateColumn(e[0], e[1], float(e[2]) if len(e) > 2 else 0.5) for e in entries]
 
 
 def cmd_simulate(args) -> int:
@@ -320,6 +315,12 @@ def cmd_simulate(args) -> int:
                 truth = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read params file {args.params}: {exc}") from exc
+        if not isinstance(truth, dict):
+            raise DataError(f"params file {args.params} must hold a JSON object")
+        missing = [key for key in ("weights", "beta", "psi", "covariates") if key not in truth]
+        if missing:
+            raise DataError(f"params file {args.params} has no "
+                            f"{', '.join(map(repr, missing))} field")
     else:
         truth = dict(DEMO_TRUTH_ZINB if settings["model"] == "zinb" else DEMO_TRUTH)
     n = int(truth.get("n", 1000)) if settings["n"] is None else settings["n"]
@@ -358,6 +359,11 @@ def _fit_settings(args):
     if not settings["input"]:
         raise DataError("fit requires --input (or 'input' in the config file)")
     settings["categorical"] = _parse_categorical(settings["categorical"])
+    if not math.isfinite(settings["rhat_threshold"]):
+        raise DataError(f"rhat_threshold must be finite, not {settings['rhat_threshold']}")
+    if not 0.0 <= settings["occupancy_threshold"] <= 1.0:
+        raise DataError("occupancy_threshold must lie in [0, 1], "
+                        f"not {settings['occupancy_threshold']}")
     named = {_FIELD_NAMES.get(k, k): v for k, v in settings.items() if v is not None}
     hyper, sampler_cfg = (
         cls(**{f.name: named[f.name] for f in dataclasses.fields(cls) if f.name in named})
@@ -525,7 +531,7 @@ def cmd_fit(args) -> int:
     reference_x = data.X.mean(axis=0)
     relabeled = relabel(traces, reference_x=reference_x,
                         weight_floor=settings["occupancy_threshold"])
-    assignments = hard_assignments(relabeled, data, spec)
+    assignments = hard_assignments(relabeled, data)
     summaries = component_summary(relabeled, int(data.y.max()), reference_x,
                                   settings["occupancy_threshold"])
     for s in summaries:
@@ -556,17 +562,41 @@ def cmd_fit(args) -> int:
 # report
 
 
-# The run_meta.json fields report reads; a dot steps into a nested object.
-REPORT_META_KEYS = ("sampler.chains", "y_max", "reference_x", "occupancy_threshold",
-                    "column_names", "categorical")
+# type() is compared exactly: JSON true and false load as bool, a subclass of int.
+def _is_number(v) -> bool:
+    return type(v) is int or type(v) is float and math.isfinite(v)
 
 
-def _meta_field(meta, key: str):
-    """The run_meta.json value at a dotted key; a DataError names a missing one."""
+def _is_list(v, d: int, valid) -> bool:
+    return type(v) is list and len(v) == d and all(map(valid, v))
+
+
+# The run_meta.json fields report reads, each with what it must hold, given
+# the chain files' covariate count d; a dot steps into a nested object.
+# sampler.chains comes first: it says which chain files give d.
+REPORT_META_FIELDS = {
+    "sampler.chains": ("an integer >= 1", lambda v, d: type(v) is int and v >= 1),
+    "y_max": ("an integer >= 0", lambda v, d: type(v) is int and v >= 0),
+    "reference_x": ("a list of {d} finite numbers, the first 1 (the intercept)",
+                    lambda v, d: _is_list(v, d, _is_number) and v[0] == 1),
+    "occupancy_threshold": ("a finite number", lambda v, d: _is_number(v)),
+    "column_names": ("a list of {d} strings",
+                     lambda v, d: _is_list(v, d, lambda c: type(c) is str)),
+    "categorical": ("an object", lambda v, d: type(v) is dict),
+}
+
+
+def _meta_field(meta, key: str, d: int | None = None):
+    """The run_meta.json value at a dotted key; a DataError names a missing
+    field or one that does not hold what REPORT_META_FIELDS asks of it."""
     for part in key.split("."):
         if not isinstance(meta, dict) or part not in meta:
             raise DataError(f"run_meta.json has no {key!r} field")
         meta = meta[part]
+    want, valid = REPORT_META_FIELDS[key]
+    if not valid(meta, d):
+        raise DataError(f"run_meta.json field {key!r} must be {want.format(d=d)}, "
+                        f"not {json.dumps(meta)}")
     return meta
 
 
@@ -581,15 +611,16 @@ def cmd_report(args) -> int:
             raise DataError(f"missing run_meta.json in {trace_dir}")
         with open(meta_path) as fh:
             meta = json.load(fh)
-        chains, y_max, reference_x, threshold, column_names, categorical = (
-            _meta_field(meta, key) for key in REPORT_META_KEYS)
         traces = []
-        for cid in range(chains):
+        for cid in range(_meta_field(meta, "sampler.chains")):
             path = os.path.join(trace_dir, f"chain_{cid}.csv")
             if not os.path.exists(path):
                 raise DataError(f"missing chain file {path}")
             arrays, columns = traceio.load_trace(path)
             traces.append(Trace(counts=None, chain_id=cid, column_names=columns, **arrays))
+        y_max, reference_x, threshold, column_names, categorical = (
+            _meta_field(meta, key, len(traces[0].column_names))
+            for key in list(REPORT_META_FIELDS)[1:])
     except traceio.ChecksumError as exc:
         raise DataError(str(exc)) from exc
     summaries = component_summary(traces, y_max, reference_x, threshold)

@@ -7,20 +7,17 @@ interval summaries use highest-posterior-density intervals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import _log_gamma_raw
-from .model import Dataset, LINPRED_CLAMP, ModelSpec, _log_pmf, _nb_eta_terms, _nb_table
+from .model import Dataset, LINPRED_CLAMP, _log_pmf, _nb_table
 from .sampler import Trace, _to_weights
 
 __all__ = [
-    "RelabeledTrace",
     "ComponentSummary",
     "DegenerateFitError",
     "relabel",
-    "apply_permutations",
     "rhat",
     "ess",
     "hpdi",
@@ -28,12 +25,6 @@ __all__ = [
     "component_summary",
     "occupied_counts",
 ]
-
-# Components whose weight falls below this floor in a given state are
-# treated as unoccupied and sorted after the occupied ones, so that
-# prior-refreshed (or transiently reborn) components cannot scramble the
-# occupied ordering.  Matches the default occupancy reporting threshold.
-EMPTY_WEIGHT_FLOOR = 0.01
 
 # Stored states evaluated across all chains: hard_assignments recomputes the
 # N x K responsibilities for each, component_summary the predictive pmf.
@@ -47,47 +38,29 @@ class DegenerateFitError(RuntimeError):
     """Raised when no component clears the occupancy threshold."""
 
 
-@dataclass
-class RelabeledTrace(Trace):
-    """A Trace plus the per-state permutations that produced it."""
-
-    permutations: np.ndarray = None  # (S, K); perm[s, j] = original index at slot j
-
-
-def _relabel_one(trace: Trace, reference_x: np.ndarray,
-                 weight_floor: float) -> RelabeledTrace:
+def _relabel_one(trace: Trace, reference_x: np.ndarray, weight_floor: float) -> Trace:
     eta = np.einsum("skd,d->sk", trace.beta, reference_x)
     mu = np.exp(np.clip(eta, -LINPRED_CLAMP, LINPRED_CLAMP))
     empty = trace.c < weight_floor
     # lexsort is stable: ties on (empty, mu, psi) keep original order.
-    return apply_permutations(trace, np.lexsort((trace.psi, mu, empty), axis=-1))
+    order = np.lexsort((trace.psi, mu, empty), axis=-1)   # order[s, j] = old slot of j
 
-
-def apply_permutations(trace: Trace, perms: np.ndarray) -> RelabeledTrace:
-    """Reorder every stored state by the given per-state permutations."""
     def permuted(a):
-        return None if a is None else np.take_along_axis(a, perms, axis=1)
+        return None if a is None else np.take_along_axis(a, order, axis=1)
 
-    return RelabeledTrace(
-        c=permuted(trace.c),
-        beta=np.take_along_axis(trace.beta, perms[:, :, np.newaxis], axis=1),
-        psi=permuted(trace.psi),
-        counts=permuted(trace.counts),
-        pi=permuted(trace.pi),
-        accept_rates=trace.accept_rates,
-        chain_id=trace.chain_id,
-        column_names=trace.column_names,
-        permutations=perms,
-    )
+    return replace(trace, c=permuted(trace.c), psi=permuted(trace.psi),
+                   counts=permuted(trace.counts), pi=permuted(trace.pi),
+                   beta=np.take_along_axis(trace.beta, order[:, :, np.newaxis], axis=1))
 
 
-def relabel(traces, reference_x, weight_floor: float = EMPTY_WEIGHT_FLOOR
-            ) -> list[RelabeledTrace]:
+def relabel(traces, reference_x, weight_floor: float) -> list[Trace]:
     """Order components ascending in mu_k(reference_x) within every state.
 
-    Ties break by ascending psi then original index; components below the
-    weight floor sort last so empty prior draws stay out of the occupied
-    slots.  The CLI passes the column means of the design matrix.
+    Ties break by ascending psi then original index.  Components below the
+    weight floor sort last, so that prior-refreshed (or transiently reborn)
+    components stay out of the occupied slots and cannot scramble their
+    order.  The CLI passes the column means of the design matrix and its
+    occupancy threshold.
     """
     traces = list(traces)
     if not traces:
@@ -175,7 +148,7 @@ def _strided_indices(length: int, budget: int) -> np.ndarray:
     return np.linspace(0, length - 1, budget).round().astype(int)
 
 
-def hard_assignments(traces, data: Dataset, spec: ModelSpec) -> np.ndarray:
+def hard_assignments(traces, data: Dataset) -> np.ndarray:
     """Argmax component of the trace-averaged responsibilities per row.
 
     Responsibilities are recomputed from (c, beta, psi[, pi]) on a strided
@@ -192,7 +165,7 @@ def hard_assignments(traces, data: Dataset, spec: ModelSpec) -> np.ndarray:
         for s in _strided_indices(len(trace), per_chain):
             psi, pi = trace.psi[s], None if trace.pi is None else trace.pi[s]
             table = _nb_table(data.y_unique, data.log_gamma_y1, psi)
-            r = _log_pmf(data, spec, table, trace.beta[s], psi, pi, work=work)
+            r = _log_pmf(data, table, trace.beta[s], psi, pi, work=work)
             with np.errstate(divide="ignore"):
                 _to_weights(r, np.log(trace.c[s]))
             r /= r.sum(axis=0)
@@ -224,28 +197,23 @@ class ComponentSummary:
 def _predictive_pmf(beta, psi, pi, reference_x, y_max: int) -> np.ndarray:
     """(K, G) predictive pmf at reference_x over y in [0, y_max + 50].
 
-    Averages the given states, each evaluated as one (K, G) table through
-    the sweep's NB kernel (``_nb_table`` + ``_nb_eta_terms``), so memory
-    stays at a few (K, G) arrays whatever the number of states.
+    Rows of the grid Dataset are (reference_x, y), so reference_x must lead
+    with the intercept's 1; each state goes through the sweep's kernel into
+    one work array, and the exponentiated pmfs are averaged.
     """
-    y = np.arange(int(y_max) + 51, dtype=float)
-    log_gamma_y1 = _log_gamma_raw(y + 1.0)
-    eta = np.einsum("skd,d->sk", beta, np.asarray(reference_x, dtype=float))
-    total = np.zeros((beta.shape[1], y.size))
+    y = np.arange(int(y_max) + 51)
+    x = np.asarray(reference_x, dtype=float)
+    grid = Dataset(y=y, X=np.broadcast_to(x, (y.size, x.size)), column_names=("",) * x.size)
+    work = np.empty((2, beta.shape[1], y.size))
+    total = np.zeros(work.shape[1:])
     for s in range(len(beta)):
-        pmf = _nb_table(y, log_gamma_y1, psi[s])
-        pmf += _nb_eta_terms(y, np.broadcast_to(eta[s, :, np.newaxis], pmf.shape),
-                             psi[s, :, np.newaxis])
-        np.exp(pmf, out=pmf)
-        if pi is not None:
-            pmf *= 1.0 - pi[s, :, np.newaxis]
-            pmf[:, 0] += pi[s]
-        total += pmf
+        table = _nb_table(grid.y_unique, grid.log_gamma_y1, psi[s])
+        log_pmf = _log_pmf(grid, table, beta[s], psi[s], None if pi is None else pi[s], work=work)
+        total += np.exp(log_pmf, out=log_pmf)
     return total / len(beta)
 
 
-def component_summary(traces, y_max: int, reference_x,
-                      occupancy_threshold: float = 0.01):
+def component_summary(traces, y_max: int, reference_x, occupancy_threshold: float):
     """Per-component posterior summaries from pooled relabeled traces.
 
     Chains are pooled in chain-id order.  Prevalence is the posterior mean

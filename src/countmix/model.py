@@ -6,7 +6,7 @@ inferred from data rather than fixed in advance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,6 +39,9 @@ class Hyperparams:
     k_max: int = 10
 
     def __post_init__(self):
+        infinite = [f.name for f in fields(self) if not np.isfinite(getattr(self, f.name))]
+        if infinite:
+            raise ValueError(f"{', '.join(infinite)} must be finite")
         if self.alpha0 <= 0 or self.s0 <= 0 or self.b0 <= 0:
             raise ValueError("alpha0, s0, b0 must be positive")
         if self.k_max < 1:
@@ -190,14 +193,14 @@ def _nb_eta_terms(yf, eta, psi, out=None, work=None) -> np.ndarray:
     return out
 
 
-def _log_pmf(data: Dataset, spec: ModelSpec, table, beta, psi, pi,
-             rows=slice(None), work=None) -> np.ndarray:
+def _log_pmf(data: Dataset, table, beta, psi, pi, rows=slice(None), work=None) -> np.ndarray:
     """K x len(rows) log pmf of the given rows under each component.
 
     beta, psi and pi hold any K components, and table is their
-    ``_nb_table`` over ``data.y_unique``.  The sweep passes either its
-    occupied components and all rows, or all components and a few rows;
-    ``hard_assignments`` passes all components and all rows.
+    ``_nb_table`` over ``data.y_unique``; the pmf is zero-inflated exactly
+    when pi is not None.  The sweep passes either its occupied components
+    and all rows, or all components and a few rows; ``hard_assignments``
+    and the predictive pmf pass all components and all rows.
     work, if given, is a (2, K, len(rows)) float array that the call fills
     instead of allocating; the result is then work[0].
     """
@@ -206,9 +209,7 @@ def _log_pmf(data: Dataset, spec: ModelSpec, table, beta, psi, pi,
     _nb_eta_terms(data._yf[rows], ll, psi[:, np.newaxis], out=ll, work=tmp)
     # mode="clip" lets take write into tmp unbuffered; every index is in range.
     ll += np.take(table, data.y_inverse[rows], axis=1, out=tmp, mode="clip")
-    if spec.zero_inflated:
-        if pi is None:
-            raise ValueError("zinb likelihood requires pi")
+    if pi is not None:
         with np.errstate(divide="ignore"):
             log_pi = np.log(pi)[:, np.newaxis]
             ll += np.log1p(-pi)[:, np.newaxis]

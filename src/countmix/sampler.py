@@ -124,8 +124,8 @@ def _pick(cum: np.ndarray, total: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.count_nonzero(x >= cum, axis=0)
 
 
-def update_assignments(state: ParamState, data: Dataset, spec: ModelSpec,
-                       rng: np.random.Generator, work: np.ndarray | None = None) -> np.ndarray:
+def update_assignments(state: ParamState, data: Dataset, rng: np.random.Generator,
+                       work: np.ndarray | None = None) -> np.ndarray:
     """Draw z_n ~ Categorical(r_n) for every observation, in place.
 
     The kernel runs on the occupied components only.  The empty ones share
@@ -152,7 +152,7 @@ def update_assignments(state: ParamState, data: Dataset, spec: ModelSpec,
     with np.errstate(divide="ignore"):
         log_c = np.log(c)
         log_c_env = np.log(c[~occupied].sum())
-    w = _log_pmf(data, spec, table[occupied], state.beta[occupied], state.psi[occupied],
+    w = _log_pmf(data, table[occupied], state.beta[occupied], state.psi[occupied],
                  None if pi is None else pi[occupied], work=work)
     top = _to_weights(w, log_c[occupied], floor=log_c_env)
     cum = np.cumsum(w, axis=0, out=work[1])
@@ -160,7 +160,7 @@ def update_assignments(state: ParamState, data: Dataset, spec: ModelSpec,
     z = np.flatnonzero(occupied).take(pick, mode="clip")
     rows = np.flatnonzero(pick == cum.shape[0])        # drawn into the envelope cell
     if rows.size:
-        w = _log_pmf(data, spec, table, state.beta, state.psi, pi, rows)
+        w = _log_pmf(data, table, state.beta, state.psi, pi, rows)
         row_top = _to_weights(w, log_c)
         u = rng.random((2, rows.size))
         # Keep an empty slot with probability T_E / c_E, compared in log
@@ -356,7 +356,7 @@ def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
     work = np.empty((2, k, data.n))
     s = 0
     for sweep in range(1, config.iterations + 1):
-        update_assignments(state, data, spec, rng, work)
+        update_assignments(state, data, rng, work)
         if spec.zero_inflated:
             update_zero_inflation(state, data, spec, rng)
         state.c = update_weights(state.z, spec.hyper, rng)

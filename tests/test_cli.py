@@ -380,6 +380,18 @@ class TestSimulate:
         assert run(["simulate", "--params", params,
                     "--out", str(tmp_path / "s")]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("missing", [None, "weights", "beta", "psi", "covariates"])
+    def test_malformed_params_exit_code(self, tmp_path, capsys, missing):
+        # A params file that is not an object, or lacks a field the generator
+        # needs, is an input error that names what is wrong.
+        params = (list(SMALL_PARAMS.values()) if missing is None
+                  else {k: v for k, v in SMALL_PARAMS.items() if k != missing})
+        path = _write(tmp_path / "p.json", json.dumps(params))
+        capsys.readouterr()
+        assert run(["simulate", "--params", path, "--out", str(tmp_path / "s")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert (f"no {missing!r} field" if missing else "must hold a JSON object") in err
+
     def test_n_zero_exit_code(self, tmp_path):
         params = _write(tmp_path / "p.json", json.dumps(SMALL_PARAMS))
         assert run(["simulate", "--params", params, "--n", "0",
@@ -469,6 +481,23 @@ class TestFit:
         else:
             assert code == EXIT_INPUT and not calls
             assert "at least 20 in all" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--s0", "nan"), ("--m0", "inf"), ("--b0", "inf"), ("--alpha0", "nan"), ("--a0", "-inf"),
+        ("--rhat-threshold", "nan"), ("--rhat-threshold", "inf"),
+        ("--occupancy-threshold", "nan"), ("--occupancy-threshold", "1.5"),
+        ("--occupancy-threshold", "-0.1"),
+    ])
+    def test_non_finite_setting_exits_before_sampling(self, tmp_path, monkeypatch, capsys,
+                                                      flag, value):
+        path = _write(tmp_path / "d.csv", "y,x\n3,0.1\n2,0.2\n")
+        calls = []
+        monkeypatch.setattr(cli, "run_chains", lambda *args, **kwargs: calls.append(args))
+        capsys.readouterr()
+        code = run(["fit", "--input", path, "--out", str(tmp_path / "f")] + FIT_FLAGS
+                   + [f"{flag}={value}"])
+        assert code == EXIT_INPUT and not calls
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
     def test_crashed_worker_exit_code(self, tmp_path, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
@@ -660,6 +689,32 @@ class TestReport:
         capsys.readouterr()
         assert run(["report", "--traces", edited]) == EXIT_INPUT
         assert repr(key or "sampler.chains") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("sampler.chains", "3"), ("sampler.chains", 0), ("sampler.chains", True),
+        ("y_max", 40.0), ("y_max", -1),
+        ("reference_x", [1.0]), ("reference_x", [1.0, "a"]), ("reference_x", [2.0, 0.0]),
+        ("occupancy_threshold", None), ("occupancy_threshold", "0.01"),
+        ("column_names", 5), ("column_names", ["intercept"]), ("categorical", ["a"]),
+    ], ids=["chains-str", "chains-0", "chains-bool", "y_max-float", "y_max-negative",
+            "reference_x-short", "reference_x-str", "reference_x-intercept",
+            "threshold-null", "threshold-str",
+            "column_names-int", "column_names-short", "categorical-list"])
+    def test_mistyped_meta_exit_code(self, small_fit, tmp_path, capsys, key, value):
+        # A field of the wrong type or shape is named, never computed with.
+        import shutil
+        _, fit_dir = small_fit
+        edited = str(tmp_path / "edited")
+        shutil.copytree(fit_dir, edited)
+        meta_path = os.path.join(edited, "run_meta.json")
+        meta = json.loads(open(meta_path).read())
+        (meta["sampler"] if key == "sampler.chains" else meta)[key.split(".")[-1]] = value
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh)
+        capsys.readouterr()
+        assert run(["report", "--traces", edited]) == EXIT_INPUT
+        assert f"field {key!r} must be" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(edited, "pmf_table.csv"))
 
     def test_corrupted_trace_exit_code(self, small_fit, tmp_path):
         import shutil

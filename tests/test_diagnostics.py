@@ -1,5 +1,6 @@
 """Unit tests for relabeling, convergence statistics, and summaries."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,12 +57,18 @@ def _reversed(trace):
 REF_X = np.array([1.0, 0.0])
 
 
+def _slots(rel, original, s):
+    """Per slot of rel's state s, the slot of original that holds its weight."""
+    return np.array([np.flatnonzero(original.c[s] == v).item() for v in rel.c[s]])
+
+
 class TestRelabel:
     def test_ordered_trace_identity(self, rng):
         trace = _ordered_trace(rng)
         (rel,) = relabel([trace], reference_x=REF_X, weight_floor=0.0)
-        np.testing.assert_array_equal(
-            rel.permutations, np.tile(np.arange(3), (len(trace), 1)))
+        assert type(rel) is Trace
+        for s in range(len(trace)):
+            np.testing.assert_array_equal(_slots(rel, trace, s), np.arange(3))
         np.testing.assert_array_equal(rel.beta, trace.beta)
 
     def test_swap_then_relabel_recovers(self, rng):
@@ -85,18 +92,19 @@ class TestRelabel:
         np.testing.assert_array_equal(once.beta, twice.beta)
         np.testing.assert_array_equal(once.counts, twice.counts)
 
-    def test_permutation_record_reproduces(self, rng):
-        from countmix.diagnostics import apply_permutations
-        trace = _ordered_trace(rng)
-        shuffled = _reversed(trace)
-        (rel,) = relabel([shuffled], reference_x=REF_X, weight_floor=0.0)
-        replay = apply_permutations(shuffled, rel.permutations)
-        np.testing.assert_array_equal(replay.beta, rel.beta)
-        np.testing.assert_array_equal(replay.c, rel.c)
-        np.testing.assert_array_equal(replay.counts, rel.counts)
+    def test_zinb_pi_moves_with_its_component(self, rng):
+        trace = replace(_ordered_trace(rng), pi=rng.uniform(0.0, 0.5, size=(60, 3)))
+        perms = np.argsort(rng.random((len(trace), 3)), axis=1)   # one per state
+        scrambled = replace(trace, **{
+            name: np.take_along_axis(getattr(trace, name), perms, axis=1)
+            for name in ("c", "psi", "counts", "pi")},
+            beta=np.take_along_axis(trace.beta, perms[:, :, np.newaxis], axis=1))
+        assert not np.array_equal(scrambled.pi, trace.pi)
+        (rel,) = relabel([scrambled], reference_x=REF_X, weight_floor=0.0)
+        for name in ("c", "beta", "psi", "counts", "pi"):
+            np.testing.assert_array_equal(getattr(rel, name), getattr(trace, name))
 
     def test_relabeled_loglik_unchanged(self, rng, small_dataset):
-        spec = ModelSpec("nb", Hyperparams(k_max=3))
         trace = _ordered_trace(rng, n=small_dataset.n)
         shuffled = _reversed(trace)
         (rel,) = relabel([shuffled], reference_x=REF_X, weight_floor=0.0)
@@ -110,14 +118,14 @@ class TestRelabel:
             a = mixture_loglik(shuffled, s)
             b = mixture_loglik(rel, s)
             assert b == pytest.approx(a, abs=1e-12 * max(1.0, abs(a)))
-            np.testing.assert_array_equal(rel.counts[s],
-                                          shuffled.counts[s, rel.permutations[s]])
+            order = _slots(rel, shuffled, s)
+            np.testing.assert_array_equal(rel.counts[s], shuffled.counts[s, order])
 
     def test_requires_reference(self, rng):
         with pytest.raises(TypeError):
             relabel([_ordered_trace(rng)])
         with pytest.raises(ValueError):
-            relabel([], reference_x=REF_X)
+            relabel([], reference_x=REF_X, weight_floor=0.0)
 
 
 class TestRhat:
@@ -261,7 +269,7 @@ def separated_fit(two_component_truth_module):
     spec = ModelSpec("nb", Hyperparams(k_max=5))
     cfg = SamplerConfig(iterations=4000, burn_in=2000, chains=2, master_seed=3)
     traces = [run_chain(spec, data, cfg, chain_id=i) for i in range(2)]
-    rel = relabel(traces, reference_x=data.X.mean(axis=0))
+    rel = relabel(traces, reference_x=data.X.mean(axis=0), weight_floor=0.01)
     return data, z_true, spec, rel
 
 
@@ -279,26 +287,25 @@ def two_component_truth_module():
 class TestHardAssignments:
     def test_well_separated_recovery(self, separated_fit):
         data, z_true, spec, rel = separated_fit
-        assign = hard_assignments(rel, data, spec)
+        assign = hard_assignments(rel, data)
         # Relabeled slot 0 is the low-mean component, matching truth's order.
         agreement = np.mean(assign == z_true)
         assert agreement >= 0.99
 
     def test_chain_order_invariance(self, separated_fit):
         data, _, spec, rel = separated_fit
-        a = hard_assignments(rel, data, spec)
-        b = hard_assignments(list(reversed(rel)), data, spec)
+        a = hard_assignments(rel, data)
+        b = hard_assignments(list(reversed(rel)), data)
         np.testing.assert_array_equal(a, b)
 
     def test_tie_goes_to_lower_index(self, rng):
         # Two identical components: every responsibility is exactly 0.5.
         data = Dataset(y=[4, 7], X=np.ones((2, 1)), column_names=("intercept",))
-        spec = ModelSpec("nb", Hyperparams(k_max=2))
         s = 30
         beta = np.full((s, 2, 1), 1.5)
         trace = Trace(c=np.full((s, 2), 0.5), beta=beta, psi=np.full((s, 2), 2.0),
                       counts=None, pi=None, chain_id=0)
-        assign = hard_assignments([trace], data, spec)
+        assign = hard_assignments([trace], data)
         np.testing.assert_array_equal(assign, [0, 0])
 
 
@@ -312,7 +319,6 @@ class TestHardAssignments:
         y = np.where(gen.random(n) < 0.2, 0, gen.poisson(np.exp(gen.uniform(0, 4, n))))
         data = Dataset(y=y, X=np.column_stack([np.ones(n), x1]),
                        column_names=("intercept", "x1"))
-        spec = ModelSpec("zinb" if zinb else "nb", Hyperparams(k_max=k))
         # States scattered around four components with distinct means and
         # zero-inflation levels, with weights that vary from state to state.
         centre = np.array([[0.2, 0.3], [1.4, -0.2], [2.6, 0.1], [3.8, 0.0]])
@@ -335,7 +341,7 @@ class TestHardAssignments:
         top_two = np.sort(total, axis=1)[:, -2:]
         assert np.all(top_two[:, 1] - top_two[:, 0] > 1e-9)   # no rounding-level ties
         assert len(np.unique(expected)) == k
-        np.testing.assert_array_equal(hard_assignments(traces, data, spec), expected)
+        np.testing.assert_array_equal(hard_assignments(traces, data), expected)
 
 
 class TestComponentSummary:
@@ -344,7 +350,8 @@ class TestComponentSummary:
         trace = Trace(c=np.tile([0.6, 0.4], (s, 1)),
                       beta=np.zeros((s, 2, 1)), psi=np.ones((s, 2)),
                       counts=None, pi=None, chain_id=0)
-        summaries = component_summary([trace], y_max=7, reference_x=np.ones(1))
+        summaries = component_summary([trace], y_max=7, reference_x=np.ones(1),
+                                      occupancy_threshold=0.01)
         for summ in summaries:
             assert summ.irr_mean[0] == pytest.approx(1.0, abs=1e-12)
             lo, hi = summ.irr_hpdi[0]
@@ -353,7 +360,7 @@ class TestComponentSummary:
 
     def test_synthetic_recovery(self, separated_fit):
         data, _, spec, rel = separated_fit
-        summaries = component_summary(rel, int(data.y.max()), data.X.mean(axis=0))
+        summaries = component_summary(rel, int(data.y.max()), data.X.mean(axis=0), 0.01)
         occupied = [s for s in summaries if s.occupied]
         assert len(occupied) == 2
         assert occupied[0].prevalence_mean == pytest.approx(0.4, abs=0.05)
@@ -364,7 +371,7 @@ class TestComponentSummary:
 
     def test_prevalences_sum_to_one(self, separated_fit):
         data, _, spec, rel = separated_fit
-        summaries = component_summary(rel, int(data.y.max()), data.X.mean(axis=0))
+        summaries = component_summary(rel, int(data.y.max()), data.X.mean(axis=0), 0.01)
         total = sum(s.prevalence_mean for s in summaries)
         assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -380,7 +387,8 @@ class TestComponentSummary:
                         pi=gen.uniform(0.0, 0.5, size=(s, k)) if zinb else None,
                         chain_id=cid) for cid in (1, 0)]
         x = np.array([1.0, 0.4, -0.7])
-        summaries = component_summary(traces, y_max=y_max, reference_x=x)
+        summaries = component_summary(traces, y_max=y_max, reference_x=x,
+                                      occupancy_threshold=0.01)
         beta, psi = (np.concatenate([traces[1].beta, traces[0].beta]),
                      np.concatenate([traces[1].psi, traces[0].psi]))
         pi = np.concatenate([traces[1].pi, traces[0].pi]) if zinb else None

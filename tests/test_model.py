@@ -95,10 +95,10 @@ def _random_state(rng, k, d, n, zinb=False):
     return state
 
 
-def complete_log_likelihood(state, data, spec):
+def complete_log_likelihood(state, data):
     """Sum over observations of the assigned component's kernel log pmf."""
     table = _nb_table(data.y_unique, data.log_gamma_y1, state.psi)
-    ll = _log_pmf(data, spec, table, state.beta, state.psi, state.pi)
+    ll = _log_pmf(data, table, state.beta, state.psi, state.pi)
     return float(ll[state.z, np.arange(data.n)].sum())
 
 
@@ -109,7 +109,7 @@ class TestCompleteLogLikelihood:
             c=np.array([1.0]), beta=np.array([[1.0, 0.4]]), psi=np.array([2.0]),
             z=np.array([0]))
         mu = math.exp(1.0 + 0.4 * 0.5)
-        assert complete_log_likelihood(state, data, ModelSpec("nb")) == pytest.approx(
+        assert complete_log_likelihood(state, data) == pytest.approx(
             negbin_log_pmf(7, mu, 2.0), abs=1e-12)
 
     def test_duplicated_observation_doubles(self):
@@ -121,9 +121,8 @@ class TestCompleteLogLikelihood:
             z=np.array([0, 0]))
         one = ParamState(c=np.array([1.0]), beta=state.beta, psi=state.psi,
                          z=np.array([0]))
-        spec = ModelSpec("nb")
-        assert complete_log_likelihood(state, data, spec) == pytest.approx(
-            2.0 * complete_log_likelihood(one, single, spec), abs=1e-10)
+        assert complete_log_likelihood(state, data) == pytest.approx(
+            2.0 * complete_log_likelihood(one, single), abs=1e-10)
 
     def test_term_by_term(self, rng):
         n, k = 5, 2
@@ -131,12 +130,11 @@ class TestCompleteLogLikelihood:
         y = rng.poisson(4.0, size=n)
         data = Dataset(y=y, X=X, column_names=("intercept", "x"))
         state = _random_state(rng, k, 2, n)
-        spec = ModelSpec("nb")
         expected = sum(
             negbin_log_pmf(int(y[i]), math.exp(float(X[i] @ state.beta[state.z[i]])),
                            float(state.psi[state.z[i]]))
             for i in range(n))
-        assert complete_log_likelihood(state, data, spec) == pytest.approx(expected, abs=1e-9)
+        assert complete_log_likelihood(state, data) == pytest.approx(expected, abs=1e-9)
 
     def test_zinb_term_by_term(self, rng):
         n, k = 6, 2
@@ -144,13 +142,12 @@ class TestCompleteLogLikelihood:
         y = np.array([0, 3, 0, 1, 8, 0])
         data = Dataset(y=y, X=X, column_names=("intercept", "x"))
         state = _random_state(rng, k, 2, n, zinb=True)
-        spec = ModelSpec("zinb")
         expected = sum(
             zinb_log_pmf(int(y[i]), float(state.pi[state.z[i]]),
                          math.exp(float(X[i] @ state.beta[state.z[i]])),
                          float(state.psi[state.z[i]]))
             for i in range(n))
-        assert complete_log_likelihood(state, data, spec) == pytest.approx(expected, abs=1e-9)
+        assert complete_log_likelihood(state, data) == pytest.approx(expected, abs=1e-9)
 
     @given(seed=st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=30, deadline=None)
@@ -159,14 +156,13 @@ class TestCompleteLogLikelihood:
         n, k = 12, 4
         X = np.column_stack([np.ones(n), gen.standard_normal(n)])
         data = Dataset(y=gen.poisson(3.0, size=n), X=X, column_names=("intercept", "x"))
-        spec = ModelSpec("nb")
         state = _random_state(gen, k, 2, n)
         perm = gen.permutation(k)
         inv = np.argsort(perm)
         permuted = ParamState(c=state.c[perm], beta=state.beta[perm],
                               psi=state.psi[perm], z=inv[state.z])
-        base = complete_log_likelihood(state, data, spec)
-        assert complete_log_likelihood(permuted, data, spec) == pytest.approx(
+        base = complete_log_likelihood(state, data)
+        assert complete_log_likelihood(permuted, data) == pytest.approx(
             base, abs=1e-12 * max(1.0, abs(base)))
 
     def test_poisson_limit(self, rng):
@@ -181,7 +177,7 @@ class TestCompleteLogLikelihood:
         mu = np.exp(np.clip(X @ beta[0], -LINPRED_CLAMP, LINPRED_CLAMP))
         yf = y.astype(float)
         poisson = yf * np.log(mu) - mu - log_gamma(yf + 1.0)
-        nb = complete_log_likelihood(state, data, ModelSpec("nb"))
+        nb = complete_log_likelihood(state, data)
         assert abs(nb - poisson.sum()) < 1e-4 * n
 
 

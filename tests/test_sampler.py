@@ -58,13 +58,12 @@ def _state_for(data, k, beta=None, psi=None, c=None, pi=None):
     )
 
 
-def responsibilities(state, data, spec):
+def responsibilities(state, data):
     """N x K membership probabilities from the term-by-term pmf.
 
     The pmf is the oracle's; the weighting is the sampler's _to_weights.
     """
-    pi = state.pi if spec.zero_inflated else None
-    log_r = log_pmf_matrix(data, state.beta, state.psi, pi).T.copy()
+    log_r = log_pmf_matrix(data, state.beta, state.psi, state.pi).T.copy()
     with np.errstate(divide="ignore"):
         _to_weights(log_r, np.log(state.c))
     return (log_r / log_r.sum(axis=0)).T
@@ -74,7 +73,7 @@ class TestResponsibilities:
     def test_identical_components_give_weights(self, small_dataset):
         state = _state_for(small_dataset, 2, c=[0.3, 0.7],
                            beta=[[1.0, 0.2], [1.0, 0.2]], psi=[2.0, 2.0])
-        r = responsibilities(state, small_dataset, ModelSpec("nb"))
+        r = responsibilities(state, small_dataset)
         np.testing.assert_allclose(r, np.tile([0.3, 0.7], (small_dataset.n, 1)),
                                    atol=1e-12)
 
@@ -82,23 +81,22 @@ class TestResponsibilities:
         # With equal weights and a likelihood ratio of e^2, the first
         # component's responsibility is e^2/(1+e^2).
         data = Dataset(y=[3], X=np.ones((1, 1)), column_names=("intercept",))
-        spec = ModelSpec("nb")
         state = _state_for(data, 2, c=[0.5, 0.5], beta=[[1.0], [1.0]], psi=[2.0, 2.0])
-        base = responsibilities(state, data, spec)
+        base = responsibilities(state, data)
         np.testing.assert_allclose(base[0], [0.5, 0.5], atol=1e-12)
         # Construct the e^2 gap directly in weight space instead: weights
         # proportional to (e^2, 1) with identical likelihoods.
         total = math.exp(2.0) + 1.0
         state2 = _state_for(data, 2, c=[math.exp(2.0) / total, 1.0 / total],
                             beta=[[1.0], [1.0]], psi=[2.0, 2.0])
-        r = responsibilities(state2, data, spec)
+        r = responsibilities(state2, data)
         assert r[0, 0] == pytest.approx(math.exp(2.0) / (1.0 + math.exp(2.0)), abs=1e-12)
         assert r[0, 0] == pytest.approx(0.880797, abs=1e-6)
 
     def test_zero_weight_component(self, small_dataset):
         state = _state_for(small_dataset, 2, c=[1.0, 0.0],
                            beta=[[1.0, 0.0], [1.0, 0.0]], psi=[2.0, 2.0])
-        r = responsibilities(state, small_dataset, ModelSpec("nb"))
+        r = responsibilities(state, small_dataset)
         assert np.all(r[:, 1] == 0.0)
 
     def test_rows_sum_to_one(self, small_dataset, rng):
@@ -106,7 +104,7 @@ class TestResponsibilities:
                            beta=rng.normal(0, 1, size=(4, 2)),
                            psi=np.exp(rng.normal(0, 1, size=4)),
                            c=rng.dirichlet(np.ones(4)))
-        r = responsibilities(state, small_dataset, ModelSpec("nb"))
+        r = responsibilities(state, small_dataset)
         np.testing.assert_allclose(r.sum(axis=1), 1.0, atol=1e-10)
 
 
@@ -116,7 +114,7 @@ class TestUpdateAssignments:
                            beta=[[1.0, 0.0], [1.0, 0.0]], psi=[2.0, 2.0])
         counts = np.zeros(2)
         for _ in range(200):
-            z = update_assignments(state, small_dataset, ModelSpec("nb"), rng)
+            z = update_assignments(state, small_dataset, rng)
             counts += np.bincount(z, minlength=2)
         total = counts.sum()
         se = math.sqrt(0.25 * 0.75 / total)
@@ -137,10 +135,10 @@ class TestUpdateAssignments:
         seen = []
         kernel = sampler._log_pmf
 
-        def counting(data, spec, table, beta, psi, pi, rows=slice(None), **kwargs):
+        def counting(data, table, beta, psi, pi, rows=slice(None), **kwargs):
             if not isinstance(rows, slice):
                 seen.append(len(rows))
-            return kernel(data, spec, table, beta, psi, pi, rows, **kwargs)
+            return kernel(data, table, beta, psi, pi, rows, **kwargs)
 
         monkeypatch.setattr(sampler, "_log_pmf", counting)
         return seen
@@ -151,7 +149,6 @@ class TestUpdateAssignments:
         x1 = np.tile(self.ORACLE_X1, reps)
         data = Dataset(y=np.tile(self.ORACLE_Y, reps), X=np.column_stack([np.ones(x1.size), x1]),
                        column_names=("intercept", "x1"))
-        spec = ModelSpec(variant, Hyperparams(k_max=4))
         state = ParamState(
             c=np.array([0.3, 0.25, 0.25, 0.2]),
             beta=np.array([[math.log(2.0), 0.3], [math.log(10.0), -0.2],
@@ -160,13 +157,13 @@ class TestUpdateAssignments:
             z=np.tile(self.ORACLE_Z, reps),
             pi=np.array([0.1, 0.2, 0.5, 0.3]) if variant == "zinb" else None,
         )
-        expected = self.ORACLE_DRAWS * responsibilities(state, data, spec)[:6]
+        expected = self.ORACLE_DRAWS * responsibilities(state, data)[:6]
         envelope_rows = self._envelope_rows(monkeypatch)
         rng = np.random.default_rng(2024)
         counts = np.zeros((6, 4))
         for _ in range(self.ORACLE_DRAWS // reps):
             state.z = np.tile(self.ORACLE_Z, reps)
-            z = update_assignments(state, data, spec, rng).reshape(reps, 6)
+            z = update_assignments(state, data, rng).reshape(reps, 6)
             assert np.all((z >= 0) & (z < 4))
             for k in range(4):
                 counts[:, k] += (z == k).sum(axis=0)
@@ -182,18 +179,18 @@ class TestUpdateAssignments:
                            beta=[[0.5, 0.1], [1.5, 0.0], [2.5, -0.1]], psi=[1.0, 2.0, 3.0])
         for _ in range(200):
             state.z = np.arange(small_dataset.n) % 3
-            update_assignments(state, small_dataset, ModelSpec("nb"), rng)
+            update_assignments(state, small_dataset, rng)
         # An empty slot of zero weight leaves c_E = 0 too.
         state.c = np.array([0.4, 0.6, 0.0])
         for _ in range(200):
             state.z = np.arange(small_dataset.n) % 2
-            z = update_assignments(state, small_dataset, ModelSpec("nb"), rng)
+            z = update_assignments(state, small_dataset, rng)
             assert np.all(z < 2)
         assert envelope_rows == []
 
     def test_single_slot(self, small_dataset, rng):
         state = _state_for(small_dataset, 1, beta=[[1.0, 0.2]])
-        z = update_assignments(state, small_dataset, ModelSpec("nb", Hyperparams(k_max=1)), rng)
+        z = update_assignments(state, small_dataset, rng)
         np.testing.assert_array_equal(z, 0)
 
     def test_underflowed_occupied_weights_draw_exactly(self, rng):
@@ -202,13 +199,12 @@ class TestUpdateAssignments:
         # every weight underflows next to c_E, yet the draw must follow the
         # exact ratios among the slots that can matter.
         data = Dataset(y=[0], X=np.ones((1, 1)), column_names=("intercept",))
-        spec = ModelSpec("nb", Hyperparams(k_max=4))
         state = _state_for(data, 4, c=[0.3, 0.25, 0.25, 0.2],
                            beta=[[40.0], [30.0], [20.0], [20.0]], psi=np.full(4, 50.0))
         z = np.empty(4000, dtype=int)
         for i in range(z.size):
             state.z[:] = 0
-            z[i] = update_assignments(state, data, spec, rng)[0]
+            z[i] = update_assignments(state, data, rng)[0]
         assert set(np.unique(z)) == {2, 3}
         share = np.mean(z == 2)
         assert abs(share - 0.25 / 0.45) < 4 * math.sqrt(share * (1 - share) / z.size)
@@ -216,12 +212,12 @@ class TestUpdateAssignments:
         state.beta[3, 0] = 35.0
         for _ in range(200):
             state.z[:] = 0
-            assert update_assignments(state, data, spec, rng)[0] == 2
+            assert update_assignments(state, data, rng)[0] == 2
 
     def test_nonfinite_occupied_weights_raise(self, small_dataset, rng):
         state = _state_for(small_dataset, 3, beta=[[np.nan, 0.0], [1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(SamplerError):
-            update_assignments(state, small_dataset, ModelSpec("nb"), rng)
+            update_assignments(state, small_dataset, rng)
 
 
 class TestUpdateWeights:
