@@ -5,7 +5,7 @@ infers the number of occupied components from the data, and reports
 prevalences, incidence rate ratios, and HPD intervals.
 """
 
-from .distributions import log_gamma, sample_dirichlet, sample_negbin
+from .distributions import sample_dirichlet, sample_negbin
 from .model import (
     CovariateColumn,
     Dataset,

@@ -16,6 +16,7 @@ import math
 import os
 import re
 import sys
+from array import array
 from collections import namedtuple
 
 import numpy as np
@@ -89,6 +90,15 @@ DEMO_TRUTH_ZINB = dict(DEMO_TRUTH, pi=[0.3, 0.05, 0.0])
 
 def _sig6(x: float) -> str:
     return f"{x:.6g}"
+
+
+# type() is compared exactly: JSON true and false load as bool, a subclass of int.
+def _is_number(v) -> bool:
+    return type(v) is int or type(v) is float and math.isfinite(v)
+
+
+def _is_list(v, d: int, valid) -> bool:
+    return type(v) is list and len(v) == d and all(map(valid, v))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +215,14 @@ def ingest(path: str, categorical: dict | None = None, outcome: str = "y") -> Da
             fh.seek(0)
             reader = csv.reader(fh, delimiter=delim)
             header = next(reader)
-            rows = [row for row in reader if any(cell.strip() for cell in row)]
+            # Blank lines are skipped, so messages take each row's line from
+            # lines.  An array, not one int object per row: those would stay in
+            # the heap that the forked chain workers inherit.
+            rows, lines = [], array("l")
+            for row in reader:
+                if any(cell.strip() for cell in row):
+                    rows.append(row)
+                    lines.append(reader.line_num)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     header = [h.strip() for h in header]
@@ -220,7 +237,7 @@ def ingest(path: str, categorical: dict | None = None, outcome: str = "y") -> Da
 
     y = np.empty(len(rows), dtype=np.int64)
     for i, row in enumerate(rows):
-        lineno = i + 2
+        lineno = lines[i]
         if len(row) != len(header):
             raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
         cell = row[y_idx].strip()
@@ -246,7 +263,8 @@ def ingest(path: str, categorical: dict | None = None, outcome: str = "y") -> Da
             if allowed is not None:
                 for i, v in enumerate(values):
                     if v not in allowed:
-                        raise DataError(f"{path}:{i + 2}: unknown category {v!r} in column {h!r}")
+                        raise DataError(f"{path}:{lines[i]}: unknown category {v!r} "
+                                        f"in column {h!r}")
                 levels = sorted(allowed)
             else:
                 levels = sorted(set(values))
@@ -265,11 +283,11 @@ def ingest(path: str, categorical: dict | None = None, outcome: str = "y") -> Da
                     parsed[i] = float(v)
                 except ValueError:
                     raise DataError(
-                        f"{path}:{i + 2}: non-numeric value {v!r} in column {h!r} "
+                        f"{path}:{lines[i]}: non-numeric value {v!r} in column {h!r} "
                         "(declare it categorical?)"
                     ) from None
                 if not math.isfinite(parsed[i]):
-                    raise DataError(f"{path}:{i + 2}: non-finite value {v!r} in column {h!r}")
+                    raise DataError(f"{path}:{lines[i]}: non-finite value {v!r} in column {h!r}")
             if np.all(parsed == parsed[0]):
                 log.warning("column %r is constant", h)
             columns.append(parsed)
@@ -304,6 +322,14 @@ def export_dataset(data: Dataset, path: str, outcome: str = "y"):
 
 
 def _covariates_from_json(entries):
+    """The params file's covariates: each entry [name, kind] or [name, kind, number]."""
+    if type(entries) is not list:
+        raise DataError(f"params field 'covariates' must be a list, not {json.dumps(entries)}")
+    for i, e in enumerate(entries):
+        if not (type(e) is list and len(e) in (2, 3) and all(type(v) is str for v in e[:2])
+                and (len(e) == 2 or _is_number(e[2]))):
+            raise DataError(f"params 'covariates' entry {i} must be [name, kind] or "
+                            f"[name, kind, number], not {json.dumps(e)}")
     return [CovariateColumn(e[0], e[1], float(e[2]) if len(e) > 2 else 0.5) for e in entries]
 
 
@@ -323,8 +349,13 @@ def cmd_simulate(args) -> int:
                             f"{', '.join(map(repr, missing))} field")
     else:
         truth = dict(DEMO_TRUTH_ZINB if settings["model"] == "zinb" else DEMO_TRUTH)
-    n = int(truth.get("n", 1000)) if settings["n"] is None else settings["n"]
-    seed = int(truth.get("seed", 0)) if settings["seed"] is None else settings["seed"]
+    for key, default in (("n", 1000), ("seed", 0)):
+        if settings[key] is None:
+            settings[key] = truth.get(key, default)
+            if type(settings[key]) is not int:
+                raise DataError(f"params field {key!r} must be an integer, "
+                                f"not {json.dumps(settings[key])}")
+    n, seed = settings["n"], settings["seed"]
     if n < 1:
         raise DataError("n must be >= 1")
     out_dir = settings["out"]
@@ -560,15 +591,6 @@ def cmd_fit(args) -> int:
 
 # ---------------------------------------------------------------------------
 # report
-
-
-# type() is compared exactly: JSON true and false load as bool, a subclass of int.
-def _is_number(v) -> bool:
-    return type(v) is int or type(v) is float and math.isfinite(v)
-
-
-def _is_list(v, d: int, valid) -> bool:
-    return type(v) is list and len(v) == d and all(map(valid, v))
 
 
 # The run_meta.json fields report reads, each with what it must hold, given

@@ -1,9 +1,9 @@
 """ln Gamma and the random draws of the count-mixture model.
 
-``log_gamma`` is self-contained (a Lanczos series), so the core library
-needs nothing beyond numpy; the NB log pmf that uses it is built in
-``model`` from ``_nb_table`` and ``_nb_eta_terms``.  The functions accept
-scalars or numpy arrays (broadcasting applies).
+``_log_gamma_raw`` is ln Gamma as a Lanczos series, so the core library
+needs nothing beyond numpy.  It takes a positive float array and checks
+nothing; ``model`` calls it for ln Gamma(y + 1) once per dataset and for
+the NB log pmf's ln Gamma(y + psi) - ln Gamma(psi) in ``_nb_table``.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-__all__ = ["log_gamma", "sample_negbin", "sample_dirichlet"]
+__all__ = ["sample_negbin", "sample_dirichlet"]
 
 # Lanczos approximation, g = 607/128 with 15 coefficients (Godfrey's set).
 # Relative error is at float64 machine precision over (0, 1e6].
@@ -50,19 +50,6 @@ def _log_gamma_raw(x: np.ndarray) -> np.ndarray:
     return np.where(small, out - np.log(np.where(small, x, 1.0)), out)
 
 
-def log_gamma(x):
-    """ln Gamma(x) for x > 0.
-
-    Scalar in, scalar out; array in, array out.  Raises ValueError on
-    non-positive or non-finite input.
-    """
-    arr = np.asarray(x, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0)):
-        raise ValueError("log_gamma requires finite x > 0")
-    out = _log_gamma_raw(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
 def _validate_nb_params(mu, psi):
     mu = np.asarray(mu, dtype=float)
     psi = np.asarray(psi, dtype=float)
@@ -78,25 +65,20 @@ def _validate_nb_params(mu, psi):
 _POISSON_NORMAL_CUTOFF = 1e8
 
 
-def sample_negbin(mu, psi, rng: np.random.Generator, size=None):
-    """Draw NB counts via the gamma-Poisson mixture.
+def sample_negbin(mu, psi, rng: np.random.Generator, size):
+    """Draw an array of NB counts of shape size via the gamma-Poisson mixture.
 
     lambda ~ Gamma(shape=psi, mean=mu), y ~ Poisson(lambda); the marginal
     law is NB with mean mu and precision psi (variance mu + mu**2/psi).
     """
-    scalar_params = np.isscalar(mu) and np.isscalar(psi)
     mu, psi = _validate_nb_params(mu, psi)
     lam = rng.gamma(shape=psi, scale=mu / psi, size=size)
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    big = lam_arr > _POISSON_NORMAL_CUTOFF
-    safe = np.where(big, 0.0, lam_arr)
-    draws = rng.poisson(safe).astype(np.int64)
+    big = lam > _POISSON_NORMAL_CUTOFF
+    draws = rng.poisson(np.where(big, 0.0, lam)).astype(np.int64)
     if np.any(big):
-        approx = rng.normal(lam_arr[big], np.sqrt(lam_arr[big]))
+        approx = rng.normal(lam[big], np.sqrt(lam[big]))
         draws[big] = np.maximum(0, np.rint(approx)).astype(np.int64)
-    if size is None and scalar_params:
-        return int(draws[0])
-    return draws.reshape(np.shape(lam))
+    return draws
 
 
 def sample_dirichlet(alphas, rng: np.random.Generator) -> np.ndarray:

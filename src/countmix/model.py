@@ -106,14 +106,6 @@ class Dataset:
     def d(self) -> int:
         return self.X.shape[1]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Dataset)
-            and self.column_names == other.column_names
-            and np.array_equal(self.y, other.y)
-            and np.array_equal(self.X, other.X)
-        )
-
 
 @dataclass
 class ParamState:
@@ -125,37 +117,6 @@ class ParamState:
     z: np.ndarray                 # (N,) component indices
     pi: np.ndarray | None = None  # (K,) zero-inflation probabilities
     w: np.ndarray | None = None   # (N,) structural-zero indicators
-
-    def validate(self, data: Dataset | None = None, spec: ModelSpec | None = None):
-        k = self.c.shape[0]
-        if abs(self.c.sum() - 1.0) > 1e-9 or np.any(self.c < 0):
-            raise ValueError("c must lie on the simplex")
-        if self.beta.shape[0] != k or self.psi.shape[0] != k:
-            raise ValueError("beta/psi leading dimension must match c")
-        if np.any(self.psi <= 0) or not np.all(np.isfinite(self.psi)):
-            raise ValueError("psi must be positive and finite")
-        if not np.all(np.isfinite(self.beta)):
-            raise ValueError("beta must be finite")
-        if np.any(self.z < 0) or np.any(self.z >= k):
-            raise ValueError("z indices out of range")
-        if self.pi is not None and (np.any(self.pi < 0) or np.any(self.pi > 1)):
-            raise ValueError("pi must lie in [0, 1]")
-        if data is not None and self.z.shape[0] != data.n:
-            raise ValueError("z length must match the dataset")
-        if self.w is not None and data is not None and np.any((self.w == 1) & (data.y > 0)):
-            raise ValueError("structural zeros only allowed where y == 0")
-        if spec is not None and spec.zero_inflated and self.pi is None:
-            raise ValueError("zinb state requires pi")
-
-    def copy(self) -> "ParamState":
-        return ParamState(
-            c=self.c.copy(),
-            beta=self.beta.copy(),
-            psi=self.psi.copy(),
-            z=self.z.copy(),
-            pi=None if self.pi is None else self.pi.copy(),
-            w=None if self.w is None else self.w.copy(),
-        )
 
 
 def _nb_table(y, log_gamma_y1, psi) -> np.ndarray:
@@ -246,6 +207,12 @@ def generate_synthetic(c, beta, psi, n, covariates, seed, pi=None):
     if abs(c.sum() - 1.0) > 1e-9 or np.any(c < 0):
         raise ValueError("weights must lie on the simplex")
     k, d = beta.shape
+    if psi.shape != (k,):
+        raise ValueError(f"psi must hold one value per component ({k})")
+    if pi is not None:
+        pi = np.asarray(pi, dtype=float)
+        if pi.shape != (k,) or not np.all((pi >= 0) & (pi <= 1)):
+            raise ValueError(f"pi must hold one value in [0, 1] per component ({k})")
     if len(covariates) != d - 1:
         raise ValueError("covariates must describe the non-intercept columns")
     rng = np.random.default_rng(seed)
@@ -259,7 +226,6 @@ def generate_synthetic(c, beta, psi, n, covariates, seed, pi=None):
     eta = np.clip(np.einsum("nd,nd->n", X, beta[z]), -LINPRED_CLAMP, LINPRED_CLAMP)
     y = sample_negbin(np.exp(eta), psi[z], rng, size=n)
     if pi is not None:
-        pi = np.asarray(pi, dtype=float)
         structural = rng.random(n) < pi[z]
         y = np.where(structural, 0, y)
     names = ("intercept",) + tuple(col.name for col in covariates)

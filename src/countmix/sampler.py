@@ -301,12 +301,11 @@ def _initial_state(data: Dataset, spec: ModelSpec, chain_id: int) -> ParamState:
     ranks = np.argsort(np.argsort(data.y, kind="stable"), kind="stable")
     bins = np.minimum(ranks * k // data.n, k - 1)
     z = order[bins]
+    # Integer sums of y are exact in float64, so these are the members' means.
+    counts = np.bincount(z, minlength=k)
+    means = np.bincount(z, weights=data._yf, minlength=k) / np.maximum(counts, 1)
     beta = np.zeros((k, data.d))
-    overall = float(data.y.mean())
-    for j in range(k):
-        members = data.y[z == j]
-        mean_j = float(members.mean()) if members.size else overall
-        beta[j, 0] = np.log(mean_j + 0.5)
+    beta[:, 0] = np.log(np.where(counts > 0, means, data.y.mean()) + 0.5)
     state = ParamState(
         c=np.full(k, 1.0 / k),
         beta=beta,

@@ -191,6 +191,14 @@ class TestIngest:
         assert run(["fit", "--input", path,
                     "--out", str(tmp_path / "f")] + FIT_FLAGS) == EXIT_INPUT
 
+    @pytest.mark.parametrize("row, message", [("3,abc", "non-numeric value 'abc'"),
+                                              ("x,0.1", "outcome 'x' is not an integer")],
+                             ids=["covariate", "outcome"])
+    def test_row_address_counts_blank_lines(self, tmp_path, row, message):
+        path = _write(tmp_path / "d.csv", f"y,x1\n1,0.5\n\n2,0.1\n{row}\n")
+        with pytest.raises(DataError, match=rf"d\.csv:5: {message}"):
+            ingest(path)
+
     def test_non_numeric_cell(self, tmp_path):
         path = _write(tmp_path / "d.csv", "y,x\n3,oops\n")
         with pytest.raises(DataError, match="non-numeric"):
@@ -263,7 +271,9 @@ class TestIngest:
         path = tmp_path / "export.csv"
         export_dataset(data, str(path))
         again = ingest(str(path))
-        assert again == data
+        np.testing.assert_array_equal(again.y, data.y)
+        np.testing.assert_array_equal(again.X, data.X)
+        assert again.column_names == data.column_names
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -281,7 +291,10 @@ class TestIngest:
         dataset = Dataset(y, np.column_stack([np.ones(n), X]), ["intercept"] + names)
         path = str(tmp_path_factory.mktemp("rt") / "export.csv")
         export_dataset(dataset, path)
-        assert ingest(path) == dataset
+        again = ingest(path)
+        np.testing.assert_array_equal(again.y, dataset.y)
+        np.testing.assert_array_equal(again.X, dataset.X)
+        assert again.column_names == dataset.column_names
 
 
 class TestTraceIO:
@@ -391,6 +404,24 @@ class TestSimulate:
         assert run(["simulate", "--params", path, "--out", str(tmp_path / "s")]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert (f"no {missing!r} field" if missing else "must hold a JSON object") in err
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("covariates", [5], "'covariates' entry 0"),
+        ("covariates", [["x1"]], "'covariates' entry 0"),
+        ("covariates", [["x1", "binary", [1]]], "'covariates' entry 0"),
+        ("n", [5], "field 'n'"),
+        ("seed", 1.5, "field 'seed'"),
+        ("psi", [50.0], "psi must hold one value per component"),
+        ("pi", [0.1], "pi must hold one value in [0, 1] per component"),
+    ], ids=["not-a-list", "no-kind", "list-param", "n-list", "seed-float",
+            "short-psi", "short-pi"])
+    def test_malformed_field_exit_code(self, tmp_path, capsys, field, value, named):
+        # A field of the wrong type or length is an input error that names
+        # the field, or the covariates entry, not a traceback.
+        path = _write(tmp_path / "p.json", json.dumps(dict(SMALL_PARAMS, **{field: value})))
+        capsys.readouterr()
+        assert run(["simulate", "--params", path, "--out", str(tmp_path / "s")]) == EXIT_INPUT
+        assert named in capsys.readouterr().err
 
     def test_n_zero_exit_code(self, tmp_path):
         params = _write(tmp_path / "p.json", json.dumps(SMALL_PARAMS))

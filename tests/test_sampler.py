@@ -1,4 +1,5 @@
 """Unit tests for the conditional updates and the chain driver."""
+import copy
 import math
 
 import numpy as np
@@ -328,7 +329,7 @@ class TestVectorisedMetropolis:
         beta_scales = np.array([[0.05, 0.05], [0.0, 0.0], [0.1, 0.1]])
         psi_scales = np.array([0.3, 0.0, 0.3])
         frozen_beta, frozen_psi = state.beta[1].copy(), state.psi[1]
-        start = state.copy()
+        start = copy.deepcopy(state)
         for _ in range(50):
             flags_b = update_coefficients(state, data, spec, beta_scales, rng)
             flags_p = update_precisions(state, data, spec, psi_scales, rng)
@@ -447,7 +448,7 @@ class TestVectorisedMetropolis:
         vec = ParamState(c=np.full(5, 0.2), beta=gen.normal(0, 1, (5, 3)),
                          psi=np.exp(gen.normal(0, 1, 5)), z=z, pi=np.full(5, 0.3), w=w)
         vec.beta[0, 0] = 60.0            # every row of component 0 is clamped
-        ref = vec.copy()
+        ref = copy.deepcopy(vec)
         scales_b, scales_p = np.full((5, 3), 0.2), np.full(5, 0.5)
         for it in range(100):
             rng_vec, rng_ref = np.random.default_rng(it), np.random.default_rng(it)
@@ -536,7 +537,7 @@ class TestZeroInflationConditionals:
         rng = np.random.default_rng(17)
         pis, ws = [], []
         for _ in range(self.DRAWS):
-            pi, w = update_zero_inflation(state.copy(), data, spec, rng)
+            pi, w = update_zero_inflation(copy.deepcopy(state), data, spec, rng)
             pis.append(pi)
             ws.append(w)
         return data, state, np.array(pis), np.array(ws)
@@ -595,10 +596,12 @@ class TestRunChain:
                             master_seed=1)
         trace = run_chain(spec, data, cfg, chain_id=0)
         assert len(trace) == (220 - 100) // 3
-        for s in range(0, len(trace), 7):
-            # Rows sorted by label reproduce the stored per-component counts.
-            ParamState(c=trace.c[s], beta=trace.beta[s], psi=trace.psi[s],
-                       z=np.repeat(np.arange(trace.k), trace.counts[s])).validate(data)
+        np.testing.assert_allclose(trace.c.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+        assert np.all(trace.c >= 0)
+        assert np.all(np.isfinite(trace.beta))
+        assert np.all(np.isfinite(trace.psi)) and np.all(trace.psi > 0)
+        assert np.all(trace.counts >= 0)
+        np.testing.assert_array_equal(trace.counts.sum(axis=1), data.n)
 
     def test_single_component_recovery(self):
         beta_true = np.array([[math.log(12.0), 0.4]])
