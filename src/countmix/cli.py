@@ -17,7 +17,7 @@ import os
 import re
 import sys
 from array import array
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 import numpy as np
 
@@ -97,8 +97,27 @@ def _is_number(v) -> bool:
     return type(v) is int or type(v) is float and math.isfinite(v)
 
 
-def _is_list(v, d: int, valid) -> bool:
-    return type(v) is list and len(v) == d and all(map(valid, v))
+def _is_list(v, valid, d: int | None = None) -> bool:
+    return type(v) is list and d in (None, len(v)) and all(map(valid, v))
+
+
+def _json_field(doc, source: str, fields: dict, key: str, d: int | None = None):
+    """The value at a dotted key of a JSON document.  fields[key] holds what it
+    must be and a test of it given d, then optionally the same for each entry
+    of a list; a DataError names a missing field or the field or entry that fails."""
+    value = doc
+    for part in key.split("."):
+        if not isinstance(value, dict) or part not in value:
+            raise DataError(f"{source} has no {key!r} field")
+        value = value[part]
+    want, valid, *entry = fields[key]
+    if not valid(value, d):
+        raise DataError(f"{source} field {key!r} must be {want.format(d=d)}, "
+                        f"not {json.dumps(value)}")
+    for i, v in enumerate(value if entry else ()):
+        if not entry[1](v):
+            raise DataError(f"{source} {key!r} entry {i} must be {entry[0]}, not {json.dumps(v)}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +214,21 @@ def _parse_categorical(spec_str: str) -> dict:
 # in a category level that names a dummy column, would not survive the CSV
 # files a fit writes.
 _CONTROL_CHAR = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _check_column_names(source: str, header, outcome: str, names):
+    """The column-name rule of ingest and simulate.  Each header cell and each of names,
+    the covariate columns made from the header, is non-empty and free of control
+    characters; none repeats among outcome, "intercept" and names, which head columns."""
+    final = [outcome, "intercept", *names]
+    for name in [*header, *names]:
+        if not name:
+            raise DataError(f"{source}: column {header.index(name) + 1} has an empty name")
+        if _CONTROL_CHAR.search(name):
+            raise DataError(f"{source}: column name {name!r} holds a control character")
+        if final.count(name) > 1:
+            raise DataError(f"{source}: duplicate column name {name!r}")
 
 
 def ingest(path: str, categorical: dict | None = None, outcome: str = "y") -> Dataset:
@@ -247,7 +281,7 @@ def ingest(path: str, categorical: dict | None = None, outcome: str = "y") -> Da
             raise DataError(f"{path}:{lineno}: outcome {cell!r} is not an integer") from None
         if val < 0:
             raise DataError(f"{path}:{lineno}: outcome {val} is negative")
-        if val > np.iinfo(np.int64).max:
+        if val > _INT64_MAX:
             raise DataError(f"{path}:{lineno}: outcome {val} is too large")
         y[i] = val
 
@@ -292,15 +326,7 @@ def ingest(path: str, categorical: dict | None = None, outcome: str = "y") -> Da
                 log.warning("column %r is constant", h)
             columns.append(parsed)
             names.append(h)
-    # The outcome is found by name, and every other name heads a written column.
-    final = [outcome] + names
-    for name in final + list(cat_raw):
-        if _CONTROL_CHAR.search(name):
-            raise DataError(f"{path}: column name {name!r} holds a control character")
-        if not name:
-            raise DataError(f"{path}: column {header.index(name) + 1} has an empty name")
-        if final.count(name) > 1:
-            raise DataError(f"{path}: duplicate column name {name!r}")
+    _check_column_names(path, header, outcome, names[1:])
     data = Dataset(y=y, X=np.column_stack(columns), column_names=names)
     data.categorical_raw = cat_raw
     log.info("ingested %d rows, columns: %s", data.n, ", ".join(names))
@@ -321,57 +347,47 @@ def export_dataset(data: Dataset, path: str, outcome: str = "y"):
 # simulate
 
 
-def _covariates_from_json(entries):
-    """The params file's covariates: each entry [name, kind] or [name, kind, number]."""
-    if type(entries) is not list:
-        raise DataError(f"params field 'covariates' must be a list, not {json.dumps(entries)}")
-    for i, e in enumerate(entries):
-        if not (type(e) is list and len(e) in (2, 3) and all(type(v) is str for v in e[:2])
-                and (len(e) == 2 or _is_number(e[2]))):
-            raise DataError(f"params 'covariates' entry {i} must be [name, kind] or "
-                            f"[name, kind, number], not {json.dumps(e)}")
-    return [CovariateColumn(e[0], e[1], float(e[2]) if len(e) > 2 else 0.5) for e in entries]
+# The simulate --params fields and the JSON types each must hold (see _json_field);
+# pi, n and seed may be left out.  generate_synthetic checks lengths and values.
+_NUMBERS = ("a list of finite numbers", lambda v, d: _is_list(v, _is_number))
+_INTEGER = ("an integer", lambda v, d: type(v) is int)
+PARAMS_FIELDS = {
+    "weights": _NUMBERS, "psi": _NUMBERS, "pi": _NUMBERS, "n": _INTEGER, "seed": _INTEGER,
+    "beta": ("a non-empty list of equal-length, non-empty lists of finite numbers",
+             lambda v, d: type(v) is list and v != [] and type(v[0]) is list and v[0] != []
+             and all(_is_list(row, _is_number, len(v[0])) for row in v)),
+    "covariates": ("a list", lambda v, d: type(v) is list, "[name, kind] or [name, kind, number]",
+                   lambda e: type(e) is list and len(e) in (2, 3)
+                   and all(type(v) is str for v in e[:2]) and all(map(_is_number, e[2:]))),
+}
 
 
 def cmd_simulate(args) -> int:
     settings = _settings("simulate", args)
     if args.params:
+        source = f"params file {args.params}"
         try:
             with open(args.params) as fh:
                 truth = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read params file {args.params}: {exc}") from exc
+            raise DataError(f"cannot read {source}: {exc}") from exc
         if not isinstance(truth, dict):
-            raise DataError(f"params file {args.params} must hold a JSON object")
-        missing = [key for key in ("weights", "beta", "psi", "covariates") if key not in truth]
-        if missing:
-            raise DataError(f"params file {args.params} has no "
-                            f"{', '.join(map(repr, missing))} field")
+            raise DataError(f"{source} must hold a JSON object")
+        for key in PARAMS_FIELDS:
+            if key in truth or key not in ("pi", "n", "seed"):
+                _json_field(truth, source, PARAMS_FIELDS, key)
+        names = [e[0] for e in truth["covariates"]]
+        _check_column_names(source, ["y", *names], "y", names)
     else:
-        truth = dict(DEMO_TRUTH_ZINB if settings["model"] == "zinb" else DEMO_TRUTH)
-    for key, default in (("n", 1000), ("seed", 0)):
-        if settings[key] is None:
-            settings[key] = truth.get(key, default)
-            if type(settings[key]) is not int:
-                raise DataError(f"params field {key!r} must be an integer, "
-                                f"not {json.dumps(settings[key])}")
-    n, seed = settings["n"], settings["seed"]
-    if n < 1:
-        raise DataError("n must be >= 1")
+        truth = DEMO_TRUTH_ZINB if settings["model"] == "zinb" else DEMO_TRUTH
+    n, seed = (truth.get(key, default) if settings[key] is None else settings[key]
+               for key, default in (("n", 1000), ("seed", 0)))
+    # A ValueError here is an input error (see run); --out is made only after.
+    data, z_true = generate_synthetic(
+        truth["weights"], truth["beta"], truth["psi"], n,
+        [CovariateColumn(*e) for e in truth["covariates"]], seed, pi=truth.get("pi"))
     out_dir = settings["out"]
     os.makedirs(out_dir, exist_ok=True)
-    try:
-        data, z_true = generate_synthetic(
-            c=truth["weights"],
-            beta=np.asarray(truth["beta"], dtype=float),
-            psi=truth["psi"],
-            n=n,
-            covariates=_covariates_from_json(truth["covariates"]),
-            seed=seed,
-            pi=truth.get("pi"),
-        )
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
     export_dataset(data, os.path.join(out_dir, "data.csv"))
     record = dict(truth, n=n, seed=seed, z=[int(v) for v in z_true])
     with open(os.path.join(out_dir, "truth.json"), "w", newline="\n") as fh:
@@ -594,32 +610,17 @@ def cmd_fit(args) -> int:
 
 
 # The run_meta.json fields report reads, each with what it must hold, given
-# the chain files' covariate count d; a dot steps into a nested object.
-# sampler.chains comes first: it says which chain files give d.
+# the chain files' covariate count d (see _json_field).  sampler.chains comes
+# first: it says which chain files give d.
 REPORT_META_FIELDS = {
     "sampler.chains": ("an integer >= 1", lambda v, d: type(v) is int and v >= 1),
     "y_max": ("an integer >= 0", lambda v, d: type(v) is int and v >= 0),
     "reference_x": ("a list of {d} finite numbers, the first 1 (the intercept)",
-                    lambda v, d: _is_list(v, d, _is_number) and v[0] == 1),
+                    lambda v, d: _is_list(v, _is_number, d) and v[0] == 1),
     "occupancy_threshold": ("a finite number", lambda v, d: _is_number(v)),
     "column_names": ("a list of {d} strings",
-                     lambda v, d: _is_list(v, d, lambda c: type(c) is str)),
-    "categorical": ("an object", lambda v, d: type(v) is dict),
+                     lambda v, d: _is_list(v, lambda c: type(c) is str, d)),
 }
-
-
-def _meta_field(meta, key: str, d: int | None = None):
-    """The run_meta.json value at a dotted key; a DataError names a missing
-    field or one that does not hold what REPORT_META_FIELDS asks of it."""
-    for part in key.split("."):
-        if not isinstance(meta, dict) or part not in meta:
-            raise DataError(f"run_meta.json has no {key!r} field")
-        meta = meta[part]
-    want, valid = REPORT_META_FIELDS[key]
-    if not valid(meta, d):
-        raise DataError(f"run_meta.json field {key!r} must be {want.format(d=d)}, "
-                        f"not {json.dumps(meta)}")
-    return meta
 
 
 def cmd_report(args) -> int:
@@ -627,56 +628,53 @@ def cmd_report(args) -> int:
     trace_dir = args.traces
     out_dir = args.out or trace_dir
     meta_path = os.path.join(trace_dir, "run_meta.json")
-    try:
-        traceio.verify_checksums(trace_dir)
-        if not os.path.exists(meta_path):
-            raise DataError(f"missing run_meta.json in {trace_dir}")
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        traces = []
-        for cid in range(_meta_field(meta, "sampler.chains")):
-            path = os.path.join(trace_dir, f"chain_{cid}.csv")
-            if not os.path.exists(path):
-                raise DataError(f"missing chain file {path}")
-            arrays, columns = traceio.load_trace(path)
-            traces.append(Trace(counts=None, chain_id=cid, column_names=columns, **arrays))
-        y_max, reference_x, threshold, column_names, categorical = (
-            _meta_field(meta, key, len(traces[0].column_names))
-            for key in list(REPORT_META_FIELDS)[1:])
-    except traceio.ChecksumError as exc:
-        raise DataError(str(exc)) from exc
+    traceio.verify_checksums(trace_dir)
+    if not os.path.exists(meta_path):
+        raise DataError(f"missing run_meta.json in {trace_dir}")
+    with open(meta_path) as fh:
+        meta = json.load(fh)
+    traces = []
+    for cid in range(_json_field(meta, "run_meta.json", REPORT_META_FIELDS, "sampler.chains")):
+        path = os.path.join(trace_dir, f"chain_{cid}.csv")
+        if not os.path.exists(path):
+            raise DataError(f"missing chain file {path}")
+        arrays, columns = traceio.load_trace(path)
+        traces.append(Trace(counts=None, chain_id=cid, column_names=columns, **arrays))
+    y_max, reference_x, threshold, column_names = (
+        _json_field(meta, "run_meta.json", REPORT_META_FIELDS, key, len(traces[0].column_names))
+        for key in list(REPORT_META_FIELDS)[1:])
+    # The categorical columns for the cross-tabs follow row and component
+    # in assignments.csv.
+    assign_path = os.path.join(trace_dir, "assignments.csv")
+    header, table = [], []
+    if os.path.exists(assign_path):
+        with open(assign_path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            for row in reader if header[2:] else ():
+                if len(row) != len(header) or not row[1].isdecimal():
+                    raise DataError(f"{assign_path}:{reader.line_num}: expected {len(header)} "
+                                    "fields, the second a component number")
+                table.append(row)
     summaries = component_summary(traces, y_max, reference_x, threshold)
     os.makedirs(out_dir, exist_ok=True)
     _write_tables(out_dir, summaries, column_names, REPORT_TABLES)
     print("\n".join(_component_tables(summaries, column_names)))
     occupied = [s.index for s in summaries if s.occupied]
-
-    # Hard-assignment cross-tabs against the declared categorical covariates.
-    # assignments.csv holds row, component, then those columns sorted by name.
-    cat_cols = sorted(categorical)
-    assign_path = os.path.join(trace_dir, "assignments.csv")
-    if cat_cols and os.path.exists(assign_path):
-        with open(assign_path, newline="") as fh:
-            table = list(csv.reader(fh))[1:]
-        for j, col in enumerate(cat_cols, start=2):
-            levels = sorted({row[j] for row in table})
-            counts = {k: {lev: 0 for lev in levels} for k in occupied}
-            for row in table:
-                k = int(row[1])
-                if k in counts:
-                    counts[k][row[j]] += 1
-            rows = []
-            print()
-            print(f"share of {col} levels within each component (%)")
-            print("component  " + "  ".join(levels))
-            for k in occupied:
-                total = sum(counts[k].values())
-                shares = [100.0 * counts[k][lev] / total if total else 0.0
-                          for lev in levels]
-                rows.append([str(k)] + [repr(s) for s in shares])
-                print(f"{k:>9d}  " + "  ".join(_sig6(s) for s in shares))
-            traceio.write_csv(os.path.join(out_dir, f"crosstab_{col}.csv"),
-                              ["component"] + levels, rows)
+    for j, col in enumerate(header[2:], start=2):
+        levels = sorted({row[j] for row in table})
+        counts = Counter((int(row[1]), row[j]) for row in table)
+        rows = []
+        print(f"\nshare of {col} levels within each component (%)")
+        print("component  " + "  ".join(levels))
+        for k in occupied:
+            n_k = [counts[k, lev] for lev in levels]
+            total = sum(n_k)
+            shares = [100.0 * n / total if total else 0.0 for n in n_k]
+            rows.append([str(k)] + [repr(s) for s in shares])
+            print(f"{k:>9d}  " + "  ".join(_sig6(s) for s in shares))
+        traceio.write_csv(os.path.join(out_dir, f"crosstab_{col}.csv"),
+                          ["component"] + levels, rows)
     return EXIT_OK
 
 
@@ -715,7 +713,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, ValueError) as exc:
+    except (DataError, ValueError, traceio.ChecksumError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DegenerateFitError as exc:

@@ -190,6 +190,8 @@ class CovariateColumn:
     def __post_init__(self):
         if self.kind not in ("normal", "binary"):
             raise ValueError(f"unknown covariate kind {self.kind!r}")
+        if self.kind == "binary" and not 0.0 <= self.param <= 1.0:
+            raise ValueError(f"binary covariate {self.name!r} needs p in [0, 1], not {self.param}")
 
 
 def generate_synthetic(c, beta, psi, n, covariates, seed, pi=None):
@@ -204,9 +206,9 @@ def generate_synthetic(c, beta, psi, n, covariates, seed, pi=None):
     psi = np.asarray(psi, dtype=float)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if abs(c.sum() - 1.0) > 1e-9 or np.any(c < 0):
-        raise ValueError("weights must lie on the simplex")
     k, d = beta.shape
+    if c.shape != (k,) or abs(c.sum() - 1.0) > 1e-9 or np.any(c < 0):
+        raise ValueError(f"weights must hold one value per component ({k}) on the simplex")
     if psi.shape != (k,):
         raise ValueError(f"psi must hold one value per component ({k})")
     if pi is not None:

@@ -268,9 +268,7 @@ def update_precisions(state: ParamState, data: Dataset, spec: ModelSpec,
 
 def update_zero_inflation(state: ParamState, data: Dataset, spec: ModelSpec,
                           rng: np.random.Generator):
-    """Draw structural-zero indicators w and per-component pi, in place."""
-    if not spec.zero_inflated:
-        raise ValueError("zero-inflation update requires the zinb variant")
+    """Draw structural-zero indicators w and per-component pi, in place (zinb)."""
     k_max = state.c.shape[0]
     a, b = spec.pi_prior
     w = np.zeros(data.n, dtype=np.int8)

@@ -58,12 +58,11 @@ def save_trace(trace, path: str):
     """
     s_count, k = trace.c.shape
     d = trace.beta.shape[2]
-    cols = trace.column_names or tuple(f"x{j}" for j in range(d))
     blocks = [trace.c, trace.beta.reshape(s_count, k * d), trace.psi]
     if trace.pi is not None:
         blocks.append(trace.pi)
     values = np.concatenate(blocks, axis=1)
-    write_csv(path, _param_names(k, d, cols, trace.pi is not None),
+    write_csv(path, _param_names(k, d, trace.column_names, trace.pi is not None),
               values.tolist())
 
 
@@ -117,8 +116,10 @@ def verify_checksums(directory: str):
     if not os.path.exists(manifest):
         raise ChecksumError(f"missing checksum manifest in {directory}")
     with open(manifest) as fh:
-        for line in fh:
-            digest, name = line.strip().split("  ", 1)
+        for lineno, line in enumerate(fh, start=1):
+            digest, sep, name = line.strip().partition("  ")
+            if not sep:
+                raise ChecksumError(f"{manifest}:{lineno}: expected '<sha256>  <file name>'")
             target = os.path.join(directory, name)
             if not os.path.exists(target):
                 raise ChecksumError(f"missing trace file {name}")

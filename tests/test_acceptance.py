@@ -21,7 +21,6 @@ from countmix.cli import (
     DEMO_TRUTH_ZINB,
     EXIT_INPUT,
     EXIT_OK,
-    _covariates_from_json,
     run,
 )
 from countmix.diagnostics import (
@@ -33,6 +32,7 @@ from countmix.diagnostics import (
 )
 from countmix.distributions import _log_gamma_raw, sample_dirichlet, sample_negbin
 from countmix.model import (
+    CovariateColumn,
     Dataset,
     Hyperparams,
     LINPRED_CLAMP,
@@ -305,7 +305,7 @@ def headline_fit():
         beta=np.array(truth["beta"]),
         psi=np.array(truth["psi"]),
         n=truth["n"],
-        covariates=_covariates_from_json(truth["covariates"]),
+        covariates=[CovariateColumn(*e) for e in truth["covariates"]],
         seed=truth["seed"],
     )
     spec = ModelSpec("nb", Hyperparams(k_max=10))
@@ -424,7 +424,7 @@ def test_criterion_6_zinb_recovery():
         beta=np.array(truth["beta"]),
         psi=np.array(truth["psi"]),
         n=truth["n"],
-        covariates=_covariates_from_json(truth["covariates"]),
+        covariates=[CovariateColumn(*e) for e in truth["covariates"]],
         seed=truth["seed"],
         pi=true_pi,
     )

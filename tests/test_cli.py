@@ -341,6 +341,14 @@ class TestTraceIO:
         with pytest.raises(traceio.ChecksumError, match="manifest"):
             traceio.verify_checksums(str(tmp_path))
 
+    def test_manifest_line_without_separator(self, tmp_path):
+        traceio.save_trace(self._trace(), str(tmp_path / "chain_0.csv"))
+        traceio.write_checksums(str(tmp_path), ["chain_0.csv"])
+        manifest = tmp_path / traceio.CHECKSUM_FILE
+        manifest.write_text(manifest.read_text().replace("  ", " "))
+        with pytest.raises(traceio.ChecksumError, match=r"checksums\.txt:1: expected"):
+            traceio.verify_checksums(str(tmp_path))
+
 
 SMALL_PARAMS = {
     "weights": [0.4, 0.6],
@@ -422,6 +430,31 @@ class TestSimulate:
         capsys.readouterr()
         assert run(["simulate", "--params", path, "--out", str(tmp_path / "s")]) == EXIT_INPUT
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"weights": {"a": 1}}, "field 'weights'"),
+        ({"beta": [1.0, 0.5]}, "field 'beta'"),
+        ({"beta": [[0.7, 0.3], [3.9]]}, "field 'beta'"),
+        ({"beta": [[float("nan"), 0.3], [3.9, -0.3]]}, "field 'beta'"),
+        ({"psi": [5, "a"]}, "field 'psi'"),
+        ({"weights": [True, False], "psi": [5, "5"]}, "field 'weights'"),
+        ({"covariates": [["y", "normal"]]}, "duplicate column name 'y'"),
+        ({"covariates": [["a\rb", "normal"]]}, "column name 'a\\rb' holds a control"),
+        ({"covariates": [["x1", "binary", 1.5]]}, "binary covariate 'x1'"),
+        ({"psi": [5, -1]}, "precision must be finite and > 0"),
+        ({"weights": [0.5, 0.25, 0.25]}, "weights must hold one value per component (2)"),
+    ], ids=["weights-object", "beta-flat", "beta-ragged", "beta-nan", "psi-str",
+            "bools", "covariate-named-y", "covariate-cr", "binary-p", "psi-negative",
+            "weights-long"])
+    def test_rejected_params_write_nothing(self, tmp_path, capsys, fields, named):
+        # Every params fault exits 2 with a message naming the field, the entry
+        # or the column, before --out is made; a data.csv that fit would then
+        # refuse is never written.
+        path = _write(tmp_path / "p.json", json.dumps(dict(SMALL_PARAMS, **fields)))
+        capsys.readouterr()
+        assert run(["simulate", "--params", path, "--out", str(tmp_path / "s")]) == EXIT_INPUT
+        assert named in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "s")
 
     def test_n_zero_exit_code(self, tmp_path):
         params = _write(tmp_path / "p.json", json.dumps(SMALL_PARAMS))
@@ -703,7 +736,7 @@ class TestReport:
         assert run(["report", "--traces", edited]) == EXIT_INPUT
 
     @pytest.mark.parametrize("key", [None, "sampler.chains", "y_max", "reference_x",
-                                     "occupancy_threshold", "column_names", "categorical"])
+                                     "occupancy_threshold", "column_names"])
     def test_malformed_meta_exit_code(self, small_fit, tmp_path, capsys, key):
         import shutil
         _, fit_dir = small_fit
@@ -726,11 +759,11 @@ class TestReport:
         ("y_max", 40.0), ("y_max", -1),
         ("reference_x", [1.0]), ("reference_x", [1.0, "a"]), ("reference_x", [2.0, 0.0]),
         ("occupancy_threshold", None), ("occupancy_threshold", "0.01"),
-        ("column_names", 5), ("column_names", ["intercept"]), ("categorical", ["a"]),
+        ("column_names", 5), ("column_names", ["intercept"]),
     ], ids=["chains-str", "chains-0", "chains-bool", "y_max-float", "y_max-negative",
             "reference_x-short", "reference_x-str", "reference_x-intercept",
             "threshold-null", "threshold-str",
-            "column_names-int", "column_names-short", "categorical-list"])
+            "column_names-int", "column_names-short"])
     def test_mistyped_meta_exit_code(self, small_fit, tmp_path, capsys, key, value):
         # A field of the wrong type or shape is named, never computed with.
         import shutil
@@ -746,6 +779,32 @@ class TestReport:
         assert run(["report", "--traces", edited]) == EXIT_INPUT
         assert f"field {key!r} must be" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(edited, "pmf_table.csv"))
+
+    @pytest.mark.parametrize("row", ["7,1\n", "7,x,a\n"], ids=["short", "component"])
+    def test_malformed_assignments_exit_code(self, tmp_path, capsys, row):
+        # assignments.csv is outside the checksum manifest: a bad row is named
+        # by file and line, and nothing is written.
+        gen = np.random.default_rng(16)
+        n = 200
+        levels = gen.choice(["a", "b"], size=n)
+        y = np.where(gen.random(n) < 0.5, gen.poisson(2.0, n), gen.poisson(30.0, n))
+        path = _write(tmp_path / "d.csv", "y,site\n"
+                      + "".join(f"{y[i]},{levels[i]}\n" for i in range(n)))
+        fit_dir, out = str(tmp_path / "fit"), str(tmp_path / "rep")
+        code = run(["fit", "--input", path, "--categorical", "site=a", "--out", fit_dir,
+                    "--kmax", "3", "--iters", "200", "--burnin", "100", "--chains", "2",
+                    "--seed", "5"])
+        assert code in (EXIT_OK, EXIT_CONVERGENCE)
+        assign_path = os.path.join(fit_dir, "assignments.csv")
+        with open(assign_path) as fh:
+            lines = fh.readlines()
+        lines[3] = row
+        with open(assign_path, "w") as fh:
+            fh.writelines(lines)
+        capsys.readouterr()
+        assert run(["report", "--traces", fit_dir, "--out", out]) == EXIT_INPUT
+        assert "assignments.csv:4: expected 3 fields" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_corrupted_trace_exit_code(self, small_fit, tmp_path):
         import shutil

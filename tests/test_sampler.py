@@ -469,11 +469,6 @@ class TestUpdateZeroInflation:
         X = np.ones((y.size, 1))
         return Dataset(y=y, X=X, column_names=("intercept",))
 
-    def test_requires_zinb(self, small_dataset, rng):
-        state = _state_for(small_dataset, 2)
-        with pytest.raises(ValueError):
-            update_zero_inflation(state, small_dataset, ModelSpec("nb"), rng)
-
     def test_pi_zero_forces_w_zero(self, rng):
         data = self._zinb_setup()
         spec = ModelSpec("zinb", Hyperparams(k_max=1))
