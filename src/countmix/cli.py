@@ -322,22 +322,22 @@ def ingest(path: str, categorical: dict | None = None, outcome: str = "y") -> Da
                     ) from None
                 if not math.isfinite(parsed[i]):
                     raise DataError(f"{path}:{lines[i]}: non-finite value {v!r} in column {h!r}")
-            if np.all(parsed == parsed[0]):
-                log.warning("column %r is constant", h)
             columns.append(parsed)
             names.append(h)
     _check_column_names(path, header, outcome, names[1:])
     data = Dataset(y=y, X=np.column_stack(columns), column_names=names)
+    for j in np.flatnonzero(np.all(data.X[:, 1:] == data.X[0, 1:], axis=0)):
+        log.warning("column %r is constant", names[j + 1])
     data.categorical_raw = cat_raw
     log.info("ingested %d rows, columns: %s", data.n, ", ".join(names))
     return data
 
 
-def export_dataset(data: Dataset, path: str, outcome: str = "y"):
-    """Write a Dataset back to csv (intercept column omitted)."""
+def export_dataset(data: Dataset, path: str):
+    """Write a Dataset back to csv, outcome column y (intercept column omitted)."""
     traceio.write_csv(
         path,
-        [outcome] + list(data.column_names[1:]),
+        ["y"] + list(data.column_names[1:]),
         ([str(yv)] + [repr(v) for v in row]
          for yv, row in zip(data.y.tolist(), data.X[:, 1:].tolist())),
     )
@@ -473,16 +473,14 @@ def _write_tables(out_dir, summaries, column_names, filenames):
 def _write_fit_outputs(out_dir, data, spec, sampler_cfg, settings, relabeled,
                        summaries, assignments, rhats, reference_x):
     os.makedirs(out_dir, exist_ok=True)
-    chain_files = []
+    report_inputs = ["assignments.csv", "run_meta.json"]
     for trace in relabeled:
-        name = f"chain_{trace.chain_id}.csv"
-        traceio.save_trace(trace, os.path.join(out_dir, name))
-        chain_files.append(name)
-    traceio.write_checksums(out_dir, chain_files)
+        report_inputs.append(f"chain_{trace.chain_id}.csv")
+        traceio.save_trace(trace, os.path.join(out_dir, report_inputs[-1]))
 
     _write_tables(out_dir, summaries, data.column_names, FIT_TABLES)
 
-    cat_raw = getattr(data, "categorical_raw", {})
+    cat_raw = data.categorical_raw
     cat_cols = sorted(cat_raw)
     traceio.write_csv(
         os.path.join(out_dir, "assignments.csv"),
@@ -511,6 +509,7 @@ def _write_fit_outputs(out_dir, data, spec, sampler_cfg, settings, relabeled,
     with open(os.path.join(out_dir, "run_meta.json"), "w", newline="\n") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    traceio.write_checksums(out_dir, report_inputs)
 
 
 def _component_tables(summaries, column_names) -> list[str]:
@@ -609,53 +608,54 @@ def cmd_fit(args) -> int:
 # report
 
 
-# The run_meta.json fields report reads, each with what it must hold, given
-# the chain files' covariate count d (see _json_field).  sampler.chains comes
-# first: it says which chain files give d.
+# The run_meta.json fields report reads, each with what it must hold given d, the chain
+# headers' covariate count (see _json_field); sampler.chains says which chains to read.
 REPORT_META_FIELDS = {
     "sampler.chains": ("an integer >= 1", lambda v, d: type(v) is int and v >= 1),
     "y_max": ("an integer >= 0", lambda v, d: type(v) is int and v >= 0),
     "reference_x": ("a list of {d} finite numbers, the first 1 (the intercept)",
                     lambda v, d: _is_list(v, _is_number, d) and v[0] == 1),
     "occupancy_threshold": ("a finite number", lambda v, d: _is_number(v)),
-    "column_names": ("a list of {d} strings",
-                     lambda v, d: _is_list(v, lambda c: type(c) is str, d)),
 }
 
 
 def cmd_report(args) -> int:
-    """Re-render the fit's tables from its persisted, relabeled chains."""
+    """Re-render the fit's tables from the files its checksums.txt verifies."""
     trace_dir = args.traces
     out_dir = args.out or trace_dir
-    meta_path = os.path.join(trace_dir, "run_meta.json")
-    traceio.verify_checksums(trace_dir)
-    if not os.path.exists(meta_path):
-        raise DataError(f"missing run_meta.json in {trace_dir}")
-    with open(meta_path) as fh:
+    verified = traceio.verify_checksums(trace_dir)
+
+    def verified_path(name):
+        if name not in verified:
+            raise DataError(f"{name} is not listed in {trace_dir}/checksums.txt; re-run the fit")
+        return os.path.join(trace_dir, name)
+
+    with open(verified_path("run_meta.json")) as fh:
         meta = json.load(fh)
     traces = []
     for cid in range(_json_field(meta, "run_meta.json", REPORT_META_FIELDS, "sampler.chains")):
-        path = os.path.join(trace_dir, f"chain_{cid}.csv")
-        if not os.path.exists(path):
-            raise DataError(f"missing chain file {path}")
-        arrays, columns = traceio.load_trace(path)
+        name = f"chain_{cid}.csv"
+        arrays, columns = traceio.load_trace(verified_path(name))
         traces.append(Trace(counts=None, chain_id=cid, column_names=columns, **arrays))
-    y_max, reference_x, threshold, column_names = (
-        _json_field(meta, "run_meta.json", REPORT_META_FIELDS, key, len(traces[0].column_names))
+        # K, the covariate names and the model fix a chain file's header.
+        if len({(t.k, t.column_names, t.pi is None) for t in (traces[0], traces[-1])}) > 1:
+            raise DataError(f"the header of {name} differs from that of chain_0.csv")
+    column_names = traces[0].column_names
+    y_max, reference_x, threshold = (
+        _json_field(meta, "run_meta.json", REPORT_META_FIELDS, key, len(column_names))
         for key in list(REPORT_META_FIELDS)[1:])
     # The categorical columns for the cross-tabs follow row and component
     # in assignments.csv.
-    assign_path = os.path.join(trace_dir, "assignments.csv")
-    header, table = [], []
-    if os.path.exists(assign_path):
-        with open(assign_path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            for row in reader if header[2:] else ():
-                if len(row) != len(header) or not row[1].isdecimal():
-                    raise DataError(f"{assign_path}:{reader.line_num}: expected {len(header)} "
-                                    "fields, the second a component number")
-                table.append(row)
+    assign_path = verified_path("assignments.csv")
+    table = []
+    with open(assign_path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for row in reader if header[2:] else ():
+            if len(row) != len(header) or not row[1].isdecimal():
+                raise DataError(f"{assign_path}:{reader.line_num}: expected {len(header)} "
+                                "fields, the second a component number")
+            table.append(row)
     summaries = component_summary(traces, y_max, reference_x, threshold)
     os.makedirs(out_dir, exist_ok=True)
     _write_tables(out_dir, summaries, column_names, REPORT_TABLES)

@@ -206,11 +206,13 @@ def generate_synthetic(c, beta, psi, n, covariates, seed, pi=None):
     psi = np.asarray(psi, dtype=float)
     if n < 1:
         raise ValueError("n must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, not {seed}")
     k, d = beta.shape
     if c.shape != (k,) or abs(c.sum() - 1.0) > 1e-9 or np.any(c < 0):
         raise ValueError(f"weights must hold one value per component ({k}) on the simplex")
-    if psi.shape != (k,):
-        raise ValueError(f"psi must hold one value per component ({k})")
+    if psi.shape != (k,) or not np.all(psi > 0):
+        raise ValueError(f"psi must hold one value per component ({k}), each > 0")
     if pi is not None:
         pi = np.asarray(pi, dtype=float)
         if pi.shape != (k,) or not np.all((pi >= 0) & (pi <= 1)):

@@ -56,8 +56,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.burn_in >= self.iterations:
             raise ValueError("burn_in must be < iterations")
-        if self.thin < 1 or self.chains < 1 or self.burn_in < 0:
-            raise ValueError("thin and chains must be >= 1, burn_in >= 0")
+        if self.thin < 1 or self.chains < 1 or self.burn_in < 0 or self.master_seed < 0:
+            raise ValueError("thin and chains must be >= 1, burn_in and master_seed >= 0")
         if not 0.0 < self.target_accept < 1.0:
             raise ValueError("target_accept must lie in (0, 1)")
 
@@ -368,7 +368,7 @@ def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
         else:
             accepted += np.nan_to_num(flags)
             trials += ~np.isnan(flags)
-            if (sweep - config.burn_in) % config.thin == 0 and s < s_count:
+            if (sweep - config.burn_in) % config.thin == 0:
                 _check_finite(state, sweep, chain_id)
                 stored_c[s] = state.c
                 stored_beta[s] = state.beta

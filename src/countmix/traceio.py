@@ -4,8 +4,8 @@
 comma, a quote or a newline.  Each chain is one file in wide format: a
 header row of parameter names (``c[j]``, ``beta[j].<column>``, ``psi[j]``,
 then ``pi[j]`` for the zero-inflated model) and one row of full binary64
-reprs per stored state.  A sha256 checksum manifest catches corrupted files
-at report time.
+reprs per stored state.  A sha256 checksum manifest lists the files a fit
+leaves for ``report``; ``verify_checksums`` checks every file it lists.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ CHECKSUM_FILE = "checksums.txt"
 
 
 class ChecksumError(RuntimeError):
-    """A persisted trace file fails its recorded checksum or cannot be parsed."""
+    """A persisted fit file fails its recorded checksum or cannot be parsed."""
 
 
 def write_csv(path: str, header, rows):
@@ -88,13 +88,9 @@ def load_trace(path: str):
     if values.shape[1] != len(header):
         raise ChecksumError(f"malformed trace file {path}: {values.shape[1]} "
                             f"values per row, header names {len(header)}")
-    # Contiguous copies, as the sampler stores them, so that sums over the
-    # loaded chains run in the same order as over the fit's.
-    c, beta, psi, pi = (np.ascontiguousarray(block) for block in
-                        np.split(values, [k, k * (d + 1), k * (d + 2)], axis=1))
-    arrays = {"c": c, "beta": beta.reshape(len(values), k, d), "psi": psi,
-              "pi": pi if zinb else None}
-    return arrays, cols
+    c, beta, psi, pi = np.split(values, [k, k * (d + 1), k * (d + 2)], axis=1)
+    return {"c": c, "beta": beta.reshape(len(values), k, d), "psi": psi,
+            "pi": pi if zinb else None}, cols
 
 
 def _sha256(path: str) -> str:
@@ -111,17 +107,19 @@ def write_checksums(directory: str, filenames):
             fh.write(f"{_sha256(os.path.join(directory, name))}  {name}\n")
 
 
-def verify_checksums(directory: str):
+def verify_checksums(directory: str) -> set:
+    """Check each file the directory's manifest lists; return their names."""
     manifest = os.path.join(directory, CHECKSUM_FILE)
     if not os.path.exists(manifest):
         raise ChecksumError(f"missing checksum manifest in {directory}")
     with open(manifest) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            digest, sep, name = line.strip().partition("  ")
-            if not sep:
-                raise ChecksumError(f"{manifest}:{lineno}: expected '<sha256>  <file name>'")
-            target = os.path.join(directory, name)
-            if not os.path.exists(target):
-                raise ChecksumError(f"missing trace file {name}")
-            if _sha256(target) != digest:
-                raise ChecksumError(f"checksum mismatch for {name}")
+        entries = [line.strip().partition("  ") for line in fh]
+    for lineno, (digest, sep, name) in enumerate(entries, start=1):
+        if not sep:
+            raise ChecksumError(f"{manifest}:{lineno}: expected '<sha256>  <file name>'")
+        target = os.path.join(directory, name)
+        if not os.path.isfile(target):
+            raise ChecksumError(f"missing file {name}, listed in {manifest}")
+        if _sha256(target) != digest:
+            raise ChecksumError(f"checksum mismatch for {name}")
+    return {name for _, _, name in entries}

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -26,7 +27,7 @@ from countmix.cli import (
     run,
 )
 from countmix.model import CovariateColumn, Dataset, Hyperparams, generate_synthetic
-from countmix.sampler import SamplerConfig, SamplerError
+from countmix.sampler import SamplerConfig, SamplerError, Trace
 
 
 def read_csv_table(path):
@@ -39,6 +40,29 @@ def _write(path, text):
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
     return str(path)
+
+
+def _rewrite_manifest(directory):
+    """Re-hash every file checksums.txt lists, as anyone who edits one may."""
+    with open(os.path.join(directory, traceio.CHECKSUM_FILE)) as fh:
+        names = [line.rstrip("\n").split("  ", 1)[1] for line in fh]
+    traceio.write_checksums(directory, names)
+
+
+def _categorical_fit(root):
+    """A short two-chain fit of 200 rows whose column site (levels a, b) is categorical."""
+    gen = np.random.default_rng(16)
+    n = 200
+    levels = gen.choice(["a", "b"], size=n)
+    y = np.where(gen.random(n) < 0.5, gen.poisson(2.0, n), gen.poisson(30.0, n))
+    path = _write(root / "d.csv", "y,site\n"
+                  + "".join(f"{y[i]},{levels[i]}\n" for i in range(n)))
+    fit_dir = str(root / "fit")
+    code = run(["fit", "--input", path, "--categorical", "site=a", "--out", fit_dir,
+                "--kmax", "3", "--iters", "200", "--burnin", "100", "--chains", "2",
+                "--seed", "5"])
+    assert code in (EXIT_OK, EXIT_CONVERGENCE)
+    return fit_dir
 
 
 class TestConfig:
@@ -176,6 +200,17 @@ class TestIngest:
         path = _write(tmp_path / "d.csv", "count,x\n3,0.1\n")
         with pytest.raises(DataError, match="outcome column"):
             ingest(path)
+
+    def test_declared_levels(self, tmp_path, caplog):
+        # Dummy columns follow the sorted declared levels; radio, declared but
+        # absent, gives an all-zero column that only the prior informs.
+        path = _write(tmp_path / "d.csv", "y,t\n3,none\n0,chemo\n2,none\n")
+        with caplog.at_level("WARNING", logger="countmix"):
+            data = ingest(path, categorical={"t": ("none", ("radio", "none", "chemo"))})
+        assert data.column_names == ("intercept", "t=chemo", "t=radio")
+        np.testing.assert_array_equal(data.X[:, 1:], [[0, 0], [1, 0], [0, 0]])
+        np.testing.assert_array_equal(data.categorical_raw["t"], ["none", "chemo", "none"])
+        assert [rec.getMessage() for rec in caplog.records] == ["column 't=radio' is constant"]
 
     def test_constant_column_warns(self, tmp_path, caplog):
         path = _write(tmp_path / "d.csv", "y,x\n3,1.0\n2,1.0\n")
@@ -331,7 +366,7 @@ class TestTraceIO:
         trace = self._trace()
         traceio.save_trace(trace, str(tmp_path / "chain_0.csv"))
         traceio.write_checksums(str(tmp_path), ["chain_0.csv"])
-        traceio.verify_checksums(str(tmp_path))
+        assert traceio.verify_checksums(str(tmp_path)) == {"chain_0.csv"}
         with open(tmp_path / "chain_0.csv", "a") as fh:
             fh.write("tampered\n")
         with pytest.raises(traceio.ChecksumError, match="chain_0.csv"):
@@ -441,11 +476,12 @@ class TestSimulate:
         ({"covariates": [["y", "normal"]]}, "duplicate column name 'y'"),
         ({"covariates": [["a\rb", "normal"]]}, "column name 'a\\rb' holds a control"),
         ({"covariates": [["x1", "binary", 1.5]]}, "binary covariate 'x1'"),
-        ({"psi": [5, -1]}, "precision must be finite and > 0"),
+        ({"psi": [5, -1]}, "psi must hold one value per component (2), each > 0"),
         ({"weights": [0.5, 0.25, 0.25]}, "weights must hold one value per component (2)"),
+        ({"seed": -3}, "seed must be >= 0, not -3"),
     ], ids=["weights-object", "beta-flat", "beta-ragged", "beta-nan", "psi-str",
             "bools", "covariate-named-y", "covariate-cr", "binary-p", "psi-negative",
-            "weights-long"])
+            "weights-long", "seed-negative"])
     def test_rejected_params_write_nothing(self, tmp_path, capsys, fields, named):
         # Every params fault exits 2 with a message naming the field, the entry
         # or the column, before --out is made; a data.csv that fit would then
@@ -454,6 +490,24 @@ class TestSimulate:
         capsys.readouterr()
         assert run(["simulate", "--params", path, "--out", str(tmp_path / "s")]) == EXIT_INPUT
         assert named in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "s")
+
+    @pytest.mark.parametrize("case", ["config-missing", "params-missing", "params-not-json",
+                                      "seed-negative"])
+    def test_rejected_input_exit_code(self, tmp_path, capsys, case):
+        params = _write(tmp_path / "p.json", "{\"weights\": [0.4," if case == "params-not-json"
+                        else json.dumps(SMALL_PARAMS))
+        missing = str(tmp_path / "nope")
+        flags, named = {
+            "config-missing": (["--params", params, "--config", missing], missing),
+            "params-missing": (["--params", missing], missing),
+            "params-not-json": (["--params", params], params),
+            "seed-negative": (["--params", params, "--seed", "-3"], "seed must be >= 0, not -3"),
+        }[case]
+        capsys.readouterr()
+        assert run(["simulate", "--out", str(tmp_path / "s")] + flags) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
         assert not os.path.exists(tmp_path / "s")
 
     def test_n_zero_exit_code(self, tmp_path):
@@ -469,6 +523,11 @@ class TestFit:
                      "pmf_curves.csv", "assignments.csv", "run_meta.json",
                      "chain_0.csv", "chain_1.csv", "checksums.txt"]:
             assert os.path.exists(os.path.join(fit_dir, name)), name
+
+    def test_manifest_lists_what_report_reads(self, small_fit):
+        _, fit_dir = small_fit
+        assert traceio.verify_checksums(fit_dir) == {
+            "assignments.csv", "chain_0.csv", "chain_1.csv", "run_meta.json"}
 
     def test_two_occupied_components(self, small_fit):
         _, fit_dir = small_fit
@@ -562,6 +621,37 @@ class TestFit:
                    + [f"{flag}={value}"])
         assert code == EXIT_INPUT and not calls
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+    def test_negative_seed_exits_before_reading_the_input(self, tmp_path, monkeypatch, capsys):
+        # The seed once reached numpy only in the forked chain workers.
+        path = _write(tmp_path / "d.csv", "y,x\n3,0.1\n2,0.2\n")
+        calls = []
+        monkeypatch.setattr(cli, "ingest", lambda *args: calls.append(args))
+        capsys.readouterr()
+        assert run(["fit", "--input", path, "--out", str(tmp_path / "f")] + FIT_FLAGS
+                   + ["--seed", "-3"]) == EXIT_INPUT and not calls
+        assert "master_seed >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case, named", [
+        ("kmax = ten", "config key kmax: cannot parse 'ten'"),
+        ("model = poisson", "config key model: 'poisson' is not one of ('nb', 'zinb')"),
+        ("huge-outcome", "d.csv:3: outcome 9223372036854775808 is too large"),
+        ("no-input", "fit requires --input"),
+    ])
+    def test_rejected_setting_or_input_exit_code(self, tmp_path, capsys, case, named):
+        path = _write(tmp_path / "d.csv", f"y,x\n3,0.1\n{2 ** 63},0.2\n" if case == "huge-outcome"
+                      else "y,x\n3,0.1\n2,0.2\n")
+        # FIT_FLAGS less --kmax: a flag would keep the config value unread.
+        argv = ["fit", "--out", str(tmp_path / "f")] + FIT_FLAGS[2:]
+        if case != "no-input":
+            argv += ["--input", path]
+        if "=" in case:
+            argv += ["--config", _write(tmp_path / "run.cfg", case + "\n")]
+        capsys.readouterr()
+        assert run(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "f")
 
     def test_crashed_worker_exit_code(self, tmp_path, monkeypatch):
         from concurrent.futures.process import BrokenProcessPool
@@ -712,7 +802,6 @@ class TestReport:
                 assert a.read() == b.read(), report_name
 
     def test_missing_chain_file_exit_code(self, small_fit, tmp_path):
-        import shutil
         _, fit_dir = small_fit
         broken = str(tmp_path / "broken")
         shutil.copytree(fit_dir, broken)
@@ -723,8 +812,83 @@ class TestReport:
             fh.writelines(kept)
         assert run(["report", "--traces", broken]) == EXIT_INPUT
 
+    def test_edited_assignments_exit_code(self, tmp_path, capsys):
+        # Every component-0 row moved to component 1 once gave exit 0 and a
+        # crosstab_site.csv whose component-0 shares read 0.0.
+        fit_dir, out = _categorical_fit(tmp_path), str(tmp_path / "rep")
+        path = os.path.join(fit_dir, "assignments.csv")
+        with open(path) as fh:
+            lines = fh.readlines()
+        moved = [re.sub(r"^(\d+),0,", r"\1,1,", line) for line in lines]
+        assert moved != lines
+        _write(path, "".join(moved))
+        capsys.readouterr()
+        assert run(["report", "--traces", fit_dir, "--out", out]) == EXIT_INPUT
+        assert "checksum mismatch for assignments.csv" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_covariate_names_come_from_the_chain_headers(self, small_fit, tmp_path, capsys):
+        # Renamed covariates in run_meta.json once reached irr_table.csv.
+        _, fit_dir = small_fit
+        edited, out = str(tmp_path / "edited"), str(tmp_path / "rep")
+        shutil.copytree(fit_dir, edited)
+        meta_path = os.path.join(edited, "run_meta.json")
+        meta = json.loads(open(meta_path).read())
+        meta["column_names"] = ["a", "b"]
+        _write(meta_path, json.dumps(meta))
+        capsys.readouterr()
+        assert run(["report", "--traces", edited, "--out", out]) == EXIT_INPUT
+        assert "checksum mismatch for run_meta.json" in capsys.readouterr().err
+        _rewrite_manifest(edited)
+        assert run(["report", "--traces", edited, "--out", out]) == EXIT_OK
+        with open(os.path.join(fit_dir, "irr_forest.csv"), "rb") as a, \
+                open(os.path.join(out, "irr_table.csv"), "rb") as b:
+            assert a.read() == b.read()
+
+    @pytest.mark.parametrize("change", ["covariates", "components", "model"])
+    def test_chain_header_unlike_chain_0s_exit_code(self, small_fit, tmp_path, capsys, change):
+        # chain_1.csv from a fit of another shape, under a rewritten manifest;
+        # numpy once refused it with a message that named no file.
+        _, fit_dir = small_fit
+        broken = str(tmp_path / "broken")
+        shutil.copytree(fit_dir, broken)
+        path = os.path.join(broken, "chain_1.csv")
+        arrays, columns = traceio.load_trace(path)
+        k = arrays["c"].shape[1] - (change == "components")
+        d = len(columns) - (change == "covariates")
+        traceio.save_trace(Trace(
+            c=arrays["c"][:, :k], beta=arrays["beta"][:, :k, :d], psi=arrays["psi"][:, :k],
+            counts=None, pi=arrays["c"][:, :k] if change == "model" else None,
+            column_names=columns[:d]), path)
+        _rewrite_manifest(broken)
+        capsys.readouterr()
+        assert run(["report", "--traces", broken]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "the header of chain_1.csv differs from that of chain_0.csv" in err
+
+    @pytest.mark.parametrize("name", ["assignments.csv", "run_meta.json", "chain_1.csv"])
+    def test_listed_file_missing_exit_code(self, small_fit, tmp_path, capsys, name):
+        _, fit_dir = small_fit
+        broken = str(tmp_path / "broken")
+        shutil.copytree(fit_dir, broken)
+        os.remove(os.path.join(broken, name))
+        capsys.readouterr()
+        assert run(["report", "--traces", broken]) == EXIT_INPUT
+        assert f"missing file {name}, listed in" in capsys.readouterr().err
+
+    def test_manifest_of_a_fit_from_before_it_listed_every_input(self, small_fit, tmp_path,
+                                                                 capsys):
+        # Such a manifest lists the chain files alone; the fit must be re-run.
+        _, fit_dir = small_fit
+        old = str(tmp_path / "old")
+        shutil.copytree(fit_dir, old)
+        traceio.write_checksums(old, ["chain_0.csv", "chain_1.csv"])
+        capsys.readouterr()
+        assert run(["report", "--traces", old]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "run_meta.json is not listed in" in err and "re-run the fit" in err
+
     def test_degenerate_fit_exit_code(self, small_fit, tmp_path):
-        import shutil
         _, fit_dir = small_fit
         edited = str(tmp_path / "edited")
         shutil.copytree(fit_dir, edited)
@@ -733,12 +897,12 @@ class TestReport:
         meta["occupancy_threshold"] = 0.99
         with open(meta_path, "w") as fh:
             json.dump(meta, fh)
+        _rewrite_manifest(edited)
         assert run(["report", "--traces", edited]) == EXIT_INPUT
 
     @pytest.mark.parametrize("key", [None, "sampler.chains", "y_max", "reference_x",
-                                     "occupancy_threshold", "column_names"])
+                                     "occupancy_threshold"])
     def test_malformed_meta_exit_code(self, small_fit, tmp_path, capsys, key):
-        import shutil
         _, fit_dir = small_fit
         edited = str(tmp_path / "edited")
         shutil.copytree(fit_dir, edited)
@@ -750,6 +914,7 @@ class TestReport:
             del (meta["sampler"] if key == "sampler.chains" else meta)[key.split(".")[-1]]
         with open(meta_path, "w") as fh:
             json.dump(meta, fh)
+        _rewrite_manifest(edited)
         capsys.readouterr()
         assert run(["report", "--traces", edited]) == EXIT_INPUT
         assert repr(key or "sampler.chains") in capsys.readouterr().err
@@ -759,14 +924,11 @@ class TestReport:
         ("y_max", 40.0), ("y_max", -1),
         ("reference_x", [1.0]), ("reference_x", [1.0, "a"]), ("reference_x", [2.0, 0.0]),
         ("occupancy_threshold", None), ("occupancy_threshold", "0.01"),
-        ("column_names", 5), ("column_names", ["intercept"]),
     ], ids=["chains-str", "chains-0", "chains-bool", "y_max-float", "y_max-negative",
             "reference_x-short", "reference_x-str", "reference_x-intercept",
-            "threshold-null", "threshold-str",
-            "column_names-int", "column_names-short"])
+            "threshold-null", "threshold-str"])
     def test_mistyped_meta_exit_code(self, small_fit, tmp_path, capsys, key, value):
         # A field of the wrong type or shape is named, never computed with.
-        import shutil
         _, fit_dir = small_fit
         edited = str(tmp_path / "edited")
         shutil.copytree(fit_dir, edited)
@@ -775,6 +937,7 @@ class TestReport:
         (meta["sampler"] if key == "sampler.chains" else meta)[key.split(".")[-1]] = value
         with open(meta_path, "w") as fh:
             json.dump(meta, fh)
+        _rewrite_manifest(edited)
         capsys.readouterr()
         assert run(["report", "--traces", edited]) == EXIT_INPUT
         assert f"field {key!r} must be" in capsys.readouterr().err
@@ -782,32 +945,22 @@ class TestReport:
 
     @pytest.mark.parametrize("row", ["7,1\n", "7,x,a\n"], ids=["short", "component"])
     def test_malformed_assignments_exit_code(self, tmp_path, capsys, row):
-        # assignments.csv is outside the checksum manifest: a bad row is named
-        # by file and line, and nothing is written.
-        gen = np.random.default_rng(16)
-        n = 200
-        levels = gen.choice(["a", "b"], size=n)
-        y = np.where(gen.random(n) < 0.5, gen.poisson(2.0, n), gen.poisson(30.0, n))
-        path = _write(tmp_path / "d.csv", "y,site\n"
-                      + "".join(f"{y[i]},{levels[i]}\n" for i in range(n)))
-        fit_dir, out = str(tmp_path / "fit"), str(tmp_path / "rep")
-        code = run(["fit", "--input", path, "--categorical", "site=a", "--out", fit_dir,
-                    "--kmax", "3", "--iters", "200", "--burnin", "100", "--chains", "2",
-                    "--seed", "5"])
-        assert code in (EXIT_OK, EXIT_CONVERGENCE)
+        # A bad row under a rewritten manifest is named by file and line, and
+        # nothing is written.
+        fit_dir, out = _categorical_fit(tmp_path), str(tmp_path / "rep")
         assign_path = os.path.join(fit_dir, "assignments.csv")
         with open(assign_path) as fh:
             lines = fh.readlines()
         lines[3] = row
         with open(assign_path, "w") as fh:
             fh.writelines(lines)
+        _rewrite_manifest(fit_dir)
         capsys.readouterr()
         assert run(["report", "--traces", fit_dir, "--out", out]) == EXIT_INPUT
         assert "assignments.csv:4: expected 3 fields" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_corrupted_trace_exit_code(self, small_fit, tmp_path):
-        import shutil
         _, fit_dir = small_fit
         broken = str(tmp_path / "broken")
         shutil.copytree(fit_dir, broken)
@@ -817,7 +970,6 @@ class TestReport:
 
     @pytest.mark.parametrize("fault", ["header", "ragged", "short"])
     def test_malformed_chain_file_exit_code(self, small_fit, tmp_path, capsys, fault):
-        import shutil
         _, fit_dir = small_fit
         broken = str(tmp_path / "broken")
         shutil.copytree(fit_dir, broken)
@@ -832,7 +984,7 @@ class TestReport:
             lines[1:] = [line.rsplit(",", 1)[0] + "\n" for line in lines[1:]]
         with open(path, "w") as fh:
             fh.writelines(lines)
-        traceio.write_checksums(broken, ["chain_0.csv", "chain_1.csv"])
+        _rewrite_manifest(broken)
         traceio.verify_checksums(broken)
         capsys.readouterr()
         assert run(["report", "--traces", broken]) == EXIT_INPUT
