@@ -38,6 +38,7 @@ from .model import (
 )
 from .sampler import SamplerConfig, SamplerError, Trace, run_chains
 from . import traceio
+from .traceio import DataError
 
 __all__ = [
     "DataError",
@@ -59,10 +60,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SAMPLER = 3
 EXIT_CONVERGENCE = 4
-
-
-class DataError(Exception):
-    """Bad input data or configuration."""
 
 
 # Canonical demo configuration: three components shaped like the reference
@@ -127,18 +124,15 @@ def _json_field(doc, source: str, fields: dict, key: str, d: int | None = None):
 def parse_config(path: str) -> dict:
     """Simple ``key = value`` file; '#' starts a comment."""
     out: dict[str, str] = {}
-    try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise DataError(f"{path}:{lineno}: expected key = value")
-                key, value = line.split("=", 1)
-                out[key.strip()] = value.strip()
-    except OSError as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from exc
+    with traceio.reading(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise DataError(f"{path}:{lineno}: expected key = value")
+            key, value = line.split("=", 1)
+            out[key.strip()] = value.strip()
     return out
 
 
@@ -240,31 +234,29 @@ def ingest(path: str, categorical: dict | None = None, outcome: str = "y") -> Da
     ``categorical_raw``) for cross-tabulation at report time.
     """
     categorical = categorical or {}
-    try:
-        with open(path, newline="") as fh:
-            first = fh.readline()
-            if not first.strip():
-                raise DataError(f"{path}: empty input file")
-            delim = "\t" if "\t" in first else ","
-            fh.seek(0)
-            reader = csv.reader(fh, delimiter=delim)
-            header = next(reader)
-            # Blank lines are skipped, so messages take each row's line from
-            # lines.  An array, not one int object per row: those would stay in
-            # the heap that the forked chain workers inherit.
-            rows, lines = [], array("l")
-            for row in reader:
-                if any(cell.strip() for cell in row):
-                    rows.append(row)
-                    lines.append(reader.line_num)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    with traceio.reading(path) as fh:
+        first = fh.readline()
+        if not first.strip():
+            raise DataError(f"{path}: empty input file")
+        delim = "\t" if "\t" in first else ","
+        fh.seek(0)
+        reader = csv.reader(fh, delimiter=delim)
+        header = next(reader)
+        # Blank lines are skipped, so messages take each row's line from
+        # lines.  An array, not one int object per row: those would stay in
+        # the heap that the forked chain workers inherit.
+        rows, lines = [], array("l")
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                rows.append(row)
+                lines.append(reader.line_num)
     header = [h.strip() for h in header]
     if outcome not in header:
         raise DataError(f"{path}: outcome column {outcome!r} not in header")
     for col in categorical:
-        if col not in header:
-            raise DataError(f"{path}: categorical column {col!r} not in header")
+        if col not in header or col == outcome:
+            raise DataError(f"{path}: categorical column {col!r} "
+                            + ("is the outcome column" if col == outcome else "not in header"))
     if not rows:
         raise DataError(f"{path}: no data rows")
     y_idx = header.index(outcome)
@@ -299,10 +291,9 @@ def ingest(path: str, categorical: dict | None = None, outcome: str = "y") -> Da
                     if v not in allowed:
                         raise DataError(f"{path}:{lines[i]}: unknown category {v!r} "
                                         f"in column {h!r}")
-                levels = sorted(allowed)
-            else:
-                levels = sorted(set(values))
-            if ref not in levels:
+            present = set(values)
+            levels = sorted(present if allowed is None else allowed)
+            if ref not in present:
                 raise DataError(f"{path}: reference level {ref!r} absent from column {h!r}")
             for lev in levels:
                 if lev == ref:
@@ -366,11 +357,8 @@ def cmd_simulate(args) -> int:
     settings = _settings("simulate", args)
     if args.params:
         source = f"params file {args.params}"
-        try:
-            with open(args.params) as fh:
-                truth = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read {source}: {exc}") from exc
+        with traceio.reading(args.params) as fh:
+            truth = json.load(fh)
         if not isinstance(truth, dict):
             raise DataError(f"{source} must hold a JSON object")
         for key in PARAMS_FIELDS:
@@ -389,10 +377,8 @@ def cmd_simulate(args) -> int:
     out_dir = settings["out"]
     os.makedirs(out_dir, exist_ok=True)
     export_dataset(data, os.path.join(out_dir, "data.csv"))
-    record = dict(truth, n=n, seed=seed, z=[int(v) for v in z_true])
-    with open(os.path.join(out_dir, "truth.json"), "w", newline="\n") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    traceio.write_json(os.path.join(out_dir, "truth.json"),
+                       dict(truth, n=n, seed=seed, z=[int(v) for v in z_true]))
     print(f"wrote {data.n} rows to {out_dir}/data.csv (ground truth in truth.json)")
     return EXIT_OK
 
@@ -472,7 +458,6 @@ def _write_tables(out_dir, summaries, column_names, filenames):
 
 def _write_fit_outputs(out_dir, data, spec, sampler_cfg, settings, relabeled,
                        summaries, assignments, rhats, reference_x):
-    os.makedirs(out_dir, exist_ok=True)
     report_inputs = ["assignments.csv", "run_meta.json"]
     for trace in relabeled:
         report_inputs.append(f"chain_{trace.chain_id}.csv")
@@ -506,9 +491,7 @@ def _write_fit_outputs(out_dir, data, spec, sampler_cfg, settings, relabeled,
         "rhat_threshold": settings["rhat_threshold"],
         "categorical": {c: settings["categorical"][c][0] for c in settings["categorical"]},
     }
-    with open(os.path.join(out_dir, "run_meta.json"), "w", newline="\n") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    traceio.write_json(os.path.join(out_dir, "run_meta.json"), meta)
     traceio.write_checksums(out_dir, report_inputs)
 
 
@@ -570,6 +553,8 @@ def _summary_text(data, spec, sampler_cfg, summaries, rhats, relabeled):
 def cmd_fit(args) -> int:
     settings, spec, sampler_cfg = _fit_settings(args)
     data = ingest(settings["input"], settings["categorical"], settings["outcome"])
+    out_dir = settings["out"]
+    os.makedirs(out_dir, exist_ok=True)
     if sampler_cfg.chains == 1:
         log.warning("single chain requested: R-hat is unavailable; "
                     "multiple chains are recommended")
@@ -588,11 +573,10 @@ def cmd_fit(args) -> int:
         _tracked_rhats(relabeled, summaries, data.column_names)
         if sampler_cfg.chains >= 2 else {}
     )
-    out_dir = settings["out"]
     _write_fit_outputs(out_dir, data, spec, sampler_cfg, settings, relabeled,
                        summaries, assignments, rhats, reference_x)
-    with open(os.path.join(out_dir, "summary.txt"), "w", newline="\n") as fh:
-        fh.write(_summary_text(data, spec, sampler_cfg, summaries, rhats, relabeled))
+    traceio.write_text(os.path.join(out_dir, "summary.txt"),
+                       _summary_text(data, spec, sampler_cfg, summaries, rhats, relabeled))
     print(f"fit complete: {len([s for s in summaries if s.occupied])} occupied "
           f"components; outputs in {out_dir}")
     bad = {k: v for k, v in rhats.items() if v > settings["rhat_threshold"]}
@@ -630,7 +614,7 @@ def cmd_report(args) -> int:
             raise DataError(f"{name} is not listed in {trace_dir}/checksums.txt; re-run the fit")
         return os.path.join(trace_dir, name)
 
-    with open(verified_path("run_meta.json")) as fh:
+    with traceio.reading(verified_path("run_meta.json")) as fh:
         meta = json.load(fh)
     traces = []
     for cid in range(_json_field(meta, "run_meta.json", REPORT_META_FIELDS, "sampler.chains")):
@@ -648,7 +632,7 @@ def cmd_report(args) -> int:
     # in assignments.csv.
     assign_path = verified_path("assignments.csv")
     table = []
-    with open(assign_path, newline="") as fh:
+    with traceio.reading(assign_path) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         for row in reader if header[2:] else ():
@@ -713,7 +697,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, ValueError, traceio.ChecksumError) as exc:
+    except (DataError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DegenerateFitError as exc:

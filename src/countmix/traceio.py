@@ -1,5 +1,7 @@
-"""CSV text for every file countmix emits, and persistence of sampled traces.
+"""The text of every file countmix reads or writes, and persistence of sampled traces.
 
+Every file is UTF-8.  ``reading`` opens each file countmix reads, and any
+fault met while reading it is a ``DataError`` that names the file.
 ``write_csv`` writes every table: fields are quoted only where they hold a
 comma, a quote or a newline.  Each chain is one file in wide format: a
 header row of parameter names (``c[j]``, ``beta[j].<column>``, ``psi[j]``,
@@ -9,31 +11,46 @@ leaves for ``report``; ``verify_checksums`` checks every file it lists.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import json
 import os
 
 import numpy as np
 
-__all__ = [
-    "write_csv",
-    "save_trace",
-    "load_trace",
-    "write_checksums",
-    "verify_checksums",
-    "ChecksumError",
-]
+__all__ = ["DataError", "reading", "write_text", "write_json", "write_csv", "save_trace",
+           "load_trace", "write_checksums", "verify_checksums"]
 
 CHECKSUM_FILE = "checksums.txt"
 
 
-class ChecksumError(RuntimeError):
-    """A persisted fit file fails its recorded checksum or cannot be parsed."""
+class DataError(Exception):
+    """Bad input data or configuration."""
+
+
+@contextlib.contextmanager
+def reading(path: str):
+    """Open path as UTF-8 text; a fault met while reading it names the file."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError, csv.Error, json.JSONDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def write_text(path: str, text: str):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def write_json(path: str, doc):
+    write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def write_csv(path: str, header, rows):
     """Write a header and rows as CSV; float fields are written as their repr."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -70,24 +87,24 @@ def load_trace(path: str):
     """Read a persisted chain back into arrays keyed c/beta/psi/pi.
 
     Returns (arrays, column_names); beta has shape (S, K, D).  Raises
-    ChecksumError when the header is not one ``save_trace`` writes or a row
+    DataError when the header is not one ``save_trace`` writes or a row
     does not hold one number per column.
     """
-    with open(path, newline="") as fh:
+    with reading(path) as fh:
         header = next(csv.reader(fh), [])
         k = sum(name.startswith("c[") for name in header)
         d = sum(name.startswith("beta[0].") for name in header)
         zinb = any(name.startswith("pi[") for name in header)
         cols = tuple(name[len("beta[0]."):] for name in header[k:k + d])
         if k == 0 or header != _param_names(k, d, cols, zinb):
-            raise ChecksumError(f"unrecognized trace header in {path}")
+            raise DataError(f"unrecognized trace header in {path}")
         try:
             values = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
-            raise ChecksumError(f"malformed trace file {path}: {exc}") from None
+            raise DataError(f"malformed trace file {path}: {exc}") from None
     if values.shape[1] != len(header):
-        raise ChecksumError(f"malformed trace file {path}: {values.shape[1]} "
-                            f"values per row, header names {len(header)}")
+        raise DataError(f"malformed trace file {path}: {values.shape[1]} "
+                        f"values per row, header names {len(header)}")
     c, beta, psi, pi = np.split(values, [k, k * (d + 1), k * (d + 2)], axis=1)
     return {"c": c, "beta": beta.reshape(len(values), k, d), "psi": psi,
             "pi": pi if zinb else None}, cols
@@ -102,24 +119,23 @@ def _sha256(path: str) -> str:
 
 
 def write_checksums(directory: str, filenames):
-    with open(os.path.join(directory, CHECKSUM_FILE), "w", newline="\n") as fh:
-        for name in sorted(filenames):
-            fh.write(f"{_sha256(os.path.join(directory, name))}  {name}\n")
+    write_text(os.path.join(directory, CHECKSUM_FILE), "".join(
+        f"{_sha256(os.path.join(directory, name))}  {name}\n" for name in sorted(filenames)))
 
 
 def verify_checksums(directory: str) -> set:
     """Check each file the directory's manifest lists; return their names."""
     manifest = os.path.join(directory, CHECKSUM_FILE)
     if not os.path.exists(manifest):
-        raise ChecksumError(f"missing checksum manifest in {directory}")
-    with open(manifest) as fh:
+        raise DataError(f"missing checksum manifest in {directory}")
+    with reading(manifest) as fh:
         entries = [line.strip().partition("  ") for line in fh]
     for lineno, (digest, sep, name) in enumerate(entries, start=1):
         if not sep:
-            raise ChecksumError(f"{manifest}:{lineno}: expected '<sha256>  <file name>'")
+            raise DataError(f"{manifest}:{lineno}: expected '<sha256>  <file name>'")
         target = os.path.join(directory, name)
         if not os.path.isfile(target):
-            raise ChecksumError(f"missing file {name}, listed in {manifest}")
+            raise DataError(f"missing file {name}, listed in {manifest}")
         if _sha256(target) != digest:
-            raise ChecksumError(f"checksum mismatch for {name}")
+            raise DataError(f"checksum mismatch for {name}")
     return {name for _, _, name in entries}

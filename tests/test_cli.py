@@ -196,6 +196,23 @@ class TestIngest:
         with pytest.raises(DataError, match="reference level"):
             ingest(path, categorical={"t": ("zzz", None)})
 
+    def test_declared_reference_level_absent_from_the_data(self, tmp_path):
+        # Once accepted: the dummies t=a and t=b then summed to the intercept
+        # column, a design of rank 2 of 3, with no warning.
+        path = _write(tmp_path / "d.csv", "y,t\n3,a\n2,b\n1,a\n")
+        with pytest.raises(DataError, match="reference level 'none' absent from column 't'"):
+            ingest(path, categorical={"t": ("none", ("none", "a", "b"))})
+
+    def test_categorical_outcome_column(self, tmp_path, capsys):
+        # The directive was once dropped without a word.
+        path = _write(tmp_path / "d.csv", "y,x\n3,0.1\n2,0.2\n")
+        with pytest.raises(DataError, match="categorical column 'y' is the outcome column"):
+            ingest(path, categorical={"y": ("3", None)})
+        assert run(["fit", "--input", path, "--categorical", "y=3",
+                    "--out", str(tmp_path / "f")] + FIT_FLAGS) == EXIT_INPUT
+        assert "categorical column 'y' is the outcome column" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "f")
+
     def test_missing_outcome_column(self, tmp_path):
         path = _write(tmp_path / "d.csv", "count,x\n3,0.1\n")
         with pytest.raises(DataError, match="outcome column"):
@@ -369,11 +386,11 @@ class TestTraceIO:
         assert traceio.verify_checksums(str(tmp_path)) == {"chain_0.csv"}
         with open(tmp_path / "chain_0.csv", "a") as fh:
             fh.write("tampered\n")
-        with pytest.raises(traceio.ChecksumError, match="chain_0.csv"):
+        with pytest.raises(DataError, match="chain_0.csv"):
             traceio.verify_checksums(str(tmp_path))
 
     def test_missing_manifest(self, tmp_path):
-        with pytest.raises(traceio.ChecksumError, match="manifest"):
+        with pytest.raises(DataError, match="manifest"):
             traceio.verify_checksums(str(tmp_path))
 
     def test_manifest_line_without_separator(self, tmp_path):
@@ -381,7 +398,7 @@ class TestTraceIO:
         traceio.write_checksums(str(tmp_path), ["chain_0.csv"])
         manifest = tmp_path / traceio.CHECKSUM_FILE
         manifest.write_text(manifest.read_text().replace("  ", " "))
-        with pytest.raises(traceio.ChecksumError, match=r"checksums\.txt:1: expected"):
+        with pytest.raises(DataError, match=r"checksums\.txt:1: expected"):
             traceio.verify_checksums(str(tmp_path))
 
 
@@ -1019,6 +1036,96 @@ class TestReport:
     def test_missing_meta_exit_code(self, tmp_path):
         os.makedirs(tmp_path / "empty_dir", exist_ok=True)
         assert run(["report", "--traces", str(tmp_path / "empty_dir")]) == EXIT_INPUT
+
+
+class TestFileFaults:
+    """A file that cannot be made or read exits 2, names the file and prints no
+    traceback.  Inputs are read as UTF-8 whatever the locale."""
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "report"])
+    def test_out_is_a_file(self, small_fit, tmp_path, monkeypatch, capsys, command):
+        # Each command once ended in a FileExistsError traceback; fit only
+        # after the whole sampling run.
+        sim_dir, fit_dir = small_fit
+        out = _write(tmp_path / "taken", "")
+        calls = []
+        monkeypatch.setattr(cli, "run_chains", lambda *args, **kwargs: calls.append(args))
+        argv = {"simulate": ["simulate", "--n", "50"],
+                "fit": ["fit", "--input", os.path.join(sim_dir, "data.csv")] + FIT_FLAGS,
+                "report": ["report", "--traces", fit_dir]}[command]
+        capsys.readouterr()
+        assert run(argv + ["--out", out]) == EXIT_INPUT and not calls
+        err = capsys.readouterr().err
+        assert out in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, content", [
+        ("--input", b"y,x\n3,0.\xe9\n2,0.1\n"),
+        ("--input", b"y,x\n3," + b"1" * 131073 + b"\n"),
+        ("--config", b"iters = 5\xe9\n"),
+        ("--params", b'{"weights": "\xe9"}'),
+    ], ids=["input-not-utf8", "input-field-limit", "config-not-utf8", "params-not-utf8"])
+    def test_unreadable_input(self, tmp_path, capsys, flag, content):
+        path = tmp_path / "bad"
+        path.write_bytes(content)
+        good = _write(tmp_path / "d.csv", "y,x\n3,0.1\n2,0.2\n")
+        argv = {"--input": ["fit", "--input", str(path)] + FIT_FLAGS,
+                "--config": ["fit", "--input", good, "--config", str(path)] + FIT_FLAGS,
+                "--params": ["simulate", "--params", str(path)]}[flag]
+        capsys.readouterr()
+        assert run(argv + ["--out", str(tmp_path / "o")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize("name, fault", [
+        ("run_meta.json", "not-utf8"), ("run_meta.json", "not-json"),
+        ("assignments.csv", "not-utf8"), ("assignments.csv", "field-limit"),
+        ("chain_1.csv", "not-utf8"), ("chain_1.csv", "field-limit"),
+        ("checksums.txt", "not-utf8"),
+    ])
+    def test_unreadable_fit_file(self, small_fit, tmp_path, capsys, name, fault):
+        # Each edit but the manifest's own is made under a regenerated manifest.
+        _, fit_dir = small_fit
+        broken = str(tmp_path / "broken")
+        shutil.copytree(fit_dir, broken)
+        path = os.path.join(broken, name)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        raw = {"not-utf8": raw.replace(b"\n", b"\xe9\n", 1),
+               "not-json": b"{1: 2}\n",
+               "field-limit": raw.replace(b"\n", b"," + b"1" * 131073 + b"\n", 1)}[fault]
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        if name != traceio.CHECKSUM_FILE:
+            _rewrite_manifest(broken)
+        capsys.readouterr()
+        assert run(["report", "--traces", broken, "--out", str(tmp_path / "rep")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert path in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "rep")
+
+    def test_utf8_under_an_ascii_locale(self, tmp_path):
+        # Files were once read in the locale's encoding: 'ascii' here.
+        params = tmp_path / "p.json"
+        params.write_bytes(json.dumps(dict(SMALL_PARAMS, covariates=[["âge", "normal"]]),
+                                      ensure_ascii=False).encode("utf-8"))
+        config = tmp_path / "run.cfg"
+        config.write_bytes("# covariate âge\n".encode("utf-8"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), LC_ALL="C",
+                   PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        sim_dir, fit_dir = str(tmp_path / "sim"), str(tmp_path / "fit")
+        for argv, codes in [
+            (["simulate", "--params", str(params), "--n", "200", "--out", sim_dir], (0,)),
+            (["fit", "--input", os.path.join(sim_dir, "data.csv"), "--config", str(config),
+              "--kmax", "3", "--iters", "60", "--burnin", "30", "--chains", "2",
+              "--out", fit_dir], (EXIT_OK, EXIT_CONVERGENCE)),
+        ]:
+            done = subprocess.run([sys.executable, "-m", "countmix.cli", *argv], env=env,
+                                  capture_output=True)
+            assert done.returncode in codes, done.stderr
+            assert b"Traceback" not in done.stderr
+        with open(os.path.join(fit_dir, "irr_forest.csv"), encoding="utf-8") as fh:
+            assert "âge" in fh.read()
 
 
 def test_cli_import_is_numpy_only():
