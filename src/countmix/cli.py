@@ -693,6 +693,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
+    # Like stderr, stdout escapes what the locale cannot encode (a covariate
+    # name in report's tables) rather than failing after the files are written.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

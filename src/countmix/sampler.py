@@ -6,6 +6,11 @@ random-walk Metropolis on each beta coordinate and on log psi, proposed for
 all components at once (given z they are conditionally independent).
 Proposal scales adapt toward a target acceptance rate during burn-in only,
 so the stored chain is a valid Markov chain.
+
+Each sweep computes what its blocks share once: ``run_chain`` builds the
+current psi's ``_nb_table`` for the assignment, zero-inflation and psi
+steps, and the beta step hands its linear predictor and NB terms to the
+psi step.
 """
 from __future__ import annotations
 
@@ -124,8 +129,8 @@ def _pick(cum: np.ndarray, total: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.count_nonzero(x >= cum, axis=0)
 
 
-def update_assignments(state: ParamState, data: Dataset, rng: np.random.Generator,
-                       work: np.ndarray | None = None) -> np.ndarray:
+def update_assignments(state: ParamState, data: Dataset, table: np.ndarray,
+                       rng: np.random.Generator, work: np.ndarray | None = None) -> np.ndarray:
     """Draw z_n ~ Categorical(r_n) for every observation, in place.
 
     The kernel runs on the occupied components only.  The empty ones share
@@ -138,6 +143,7 @@ def update_assignments(state: ParamState, data: Dataset, rng: np.random.Generato
     rejection sampler on this envelope returns, reached without its loop,
     so every z_n has exactly the dense draw's law.
 
+    table is the current psi's ``_nb_table`` over ``data.y_unique``.
     work is a (2, K, N) float array for the kernel's temporaries.  run_chain
     passes the same one every sweep, so they are not handed back to the
     operating system and faulted in again.
@@ -147,7 +153,6 @@ def update_assignments(state: ParamState, data: Dataset, rng: np.random.Generato
         work = np.empty((2, c.shape[0], data.n))
     occupied = np.bincount(state.z, minlength=c.shape[0]) > 0
     work = work[:, :np.count_nonzero(occupied)]
-    table = _nb_table(data.y_unique, data.log_gamma_y1, state.psi)
     pi = state.pi
     with np.errstate(divide="ignore"):
         log_c = np.log(c)
@@ -188,21 +193,38 @@ def _likelihood_rows(state: ParamState, k: int) -> np.ndarray:
     return np.where(state.w == 1, k, state.z)
 
 
+def _linear_predictor(beta: np.ndarray, X: np.ndarray, z: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """eta_n = x_n . beta_{z_n} for every row.
+
+    The (K, N) product beta X^T is read off at (z_n, n) with one flat take,
+    which costs less than gathering beta[z] as an (N, D) array.  out, if
+    given, is a (K, N) float array that holds the product.
+    """
+    n = X.shape[0]
+    return np.matmul(beta, X.T, out=out).take(z * n + np.arange(n))
+
+
 def update_coefficients(state: ParamState, data: Dataset, spec: ModelSpec,
-                        scales: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+                        scales: np.ndarray, rng: np.random.Generator,
+                        work: np.ndarray | None = None):
     """Random-walk Metropolis on beta, one coordinate at a time, in place.
 
     Step d proposes coordinate d for every component at once.  Returns
-    per-block acceptance flags (1 accepted, 0 rejected, NaN where the
-    component was empty and beta was refreshed from the prior).
+    (flags, eta, cur): per-block acceptance flags (1 accepted, 0 rejected,
+    NaN where the component was empty and beta was refreshed from the
+    prior), and each row's linear predictor and ``_nb_eta_terms`` at the
+    current psi, kept current through the steps, which the psi step takes
+    as they are.  work, if given, is a (K, N) float array for the product
+    that forms eta.
     """
     hyper = spec.hyper
     k_max, d_dim = state.beta.shape
     z = state.z
     rows = _likelihood_rows(state, k_max)
     yf, X = data._yf, data.X
-    psi_z = state.psi[z]
-    eta = np.einsum("nd,nd->n", X, state.beta[z])
+    psi_z = state.psi.take(z)
+    eta = _linear_predictor(state.beta, X, z, out=work)
     cur = _nb_eta_terms(yf, eta, psi_z)
     steps = scales * rng.standard_normal((k_max, d_dim))
     log_u = np.log(rng.random((k_max, d_dim)))
@@ -213,29 +235,34 @@ def update_coefficients(state: ParamState, data: Dataset, spec: ModelSpec,
     )
     accept = np.empty((k_max, d_dim), dtype=bool)
     for d in range(d_dim):
-        eta_new = eta + steps[z, d] * X[:, d]
+        eta_new = eta + steps[:, d].take(z) * X[:, d]
         new = _nb_eta_terms(yf, eta_new, psi_z)
         ratio = log_ratio[:, d] + np.bincount(rows, weights=new - cur,
                                               minlength=k_max + 1)[:k_max]
         accept[:, d] = np.isfinite(ratio) & (log_u[:, d] < ratio)
-        moved = accept[z, d]
-        eta = np.where(moved, eta_new, eta)
-        cur = np.where(moved, new, cur)
+        moved = accept[:, d].take(z)
+        np.copyto(eta, eta_new, where=moved)
+        np.copyto(cur, new, where=moved)
     state.beta[accept] = proposed[accept]
     flags = accept.astype(float)
     empty = np.bincount(z, minlength=k_max) == 0
     state.beta[empty] = rng.normal(hyper.m0, hyper.s0, size=(int(empty.sum()), d_dim))
     flags[empty] = np.nan
-    return flags
+    return flags, eta, cur
 
 
 def update_precisions(state: ParamState, data: Dataset, spec: ModelSpec,
+                      table: np.ndarray, eta: np.ndarray, cur: np.ndarray,
                       scales: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Random-walk Metropolis on log psi, all components at once, in place.
 
-    The log-normal prior is expressed in eta = ln psi (eta ~ N(a0, b0^2)),
-    so the symmetric proposal needs no Jacobian correction.  The psi-only
+    The log-normal prior is expressed in ln psi (ln psi ~ N(a0, b0^2)), so
+    the symmetric proposal needs no Jacobian correction.  The psi-only
     likelihood terms enter through per-(component, unique y) row counts.
+    table is the current psi's ``_nb_table``, and eta and cur are each
+    row's linear predictor and ``_nb_eta_terms`` at the current state, as
+    ``update_coefficients`` returns them; only the proposal's table and
+    row terms are built here.
     """
     hyper = spec.hyper
     k_max = state.psi.shape[0]
@@ -247,18 +274,17 @@ def update_precisions(state: ParamState, data: Dataset, spec: ModelSpec,
     log_psi = np.log(state.psi)
     prop = log_psi + scales * rng.standard_normal(k_max)
     log_u = np.log(rng.random(k_max))
-    both = np.stack([state.psi, np.exp(prop)])           # (2, K): current, proposed
-    table_part = np.einsum("ku,iku->ik", y_counts.reshape(k_max, u_dim),
-                           _nb_table(data.y_unique, data.log_gamma_y1, both))
-    eta = np.einsum("nd,nd->n", data.X, state.beta[z])
-    row_terms = _nb_eta_terms(data._yf, np.stack([eta, eta]), both[:, z])
+    psi_new = np.exp(prop)
+    both = np.stack([table, _nb_table(data.y_unique, data.log_gamma_y1, psi_new)])
+    table_part = np.einsum("ku,iku->ik", y_counts.reshape(k_max, u_dim), both)
+    new = _nb_eta_terms(data._yf, eta, psi_new.take(z))
     ll_diff = table_part[1] - table_part[0] + np.bincount(
-        rows, weights=row_terms[1] - row_terms[0], minlength=k_max + 1)[:k_max]
+        rows, weights=new - cur, minlength=k_max + 1)[:k_max]
     log_ratio = ll_diff + (0.5 / hyper.b0 ** 2) * (
         (log_psi - hyper.a0) ** 2 - (prop - hyper.a0) ** 2
     )
     accept = np.isfinite(log_ratio) & (log_u < log_ratio)
-    state.psi[accept] = both[1, accept]
+    state.psi[accept] = psi_new[accept]
     flags = accept.astype(float)
     empty = np.bincount(z, minlength=k_max) == 0
     state.psi[empty] = np.exp(rng.normal(hyper.a0, hyper.b0, size=int(empty.sum())))
@@ -267,19 +293,20 @@ def update_precisions(state: ParamState, data: Dataset, spec: ModelSpec,
 
 
 def update_zero_inflation(state: ParamState, data: Dataset, spec: ModelSpec,
-                          rng: np.random.Generator):
-    """Draw structural-zero indicators w and per-component pi, in place (zinb)."""
+                          table: np.ndarray, rng: np.random.Generator):
+    """Draw structural-zero indicators w and per-component pi, in place (zinb).
+
+    table is the current psi's ``_nb_table``.  Whenever zero rows exist,
+    ``data.y_unique[0]`` is 0, so its column 0 is ln NB(0)'s psi-only part.
+    """
     k_max = state.c.shape[0]
     a, b = spec.pi_prior
     w = np.zeros(data.n, dtype=np.int8)
     zero_idx = np.flatnonzero(data.zero_mask)
     if zero_idx.size:
         zk = state.z[zero_idx]
-        eta = np.einsum("nd,nd->n", data.X[zero_idx], state.beta[zk])
-        # ln NB(0)'s psi-only part: the y = 0 column of _nb_table, whose
-        # ln Gamma(y + psi) - ln Gamma(psi) is exactly 0 there.
-        psi_part = state.psi * np.log(state.psi) - data.log_gamma_y1[0]
-        log_nb0 = psi_part[zk] + _nb_eta_terms(0.0, eta, state.psi[zk])
+        eta = _linear_predictor(state.beta, data.X[zero_idx], zk)
+        log_nb0 = table[:, 0].take(zk) + _nb_eta_terms(0.0, eta, state.psi[zk])
         pi_z = state.pi[zk]
         p1 = pi_z
         p0 = (1.0 - pi_z) * np.exp(log_nb0)
@@ -353,13 +380,18 @@ def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
     work = np.empty((2, k, data.n))
     s = 0
     for sweep in range(1, config.iterations + 1):
-        update_assignments(state, data, rng, work)
+        # psi changes only in the last block, so one table serves the sweep.
+        table = _nb_table(data.y_unique, data.log_gamma_y1, state.psi)
+        update_assignments(state, data, table, rng, work)
         if spec.zero_inflated:
-            update_zero_inflation(state, data, spec, rng)
+            update_zero_inflation(state, data, spec, table, rng)
         state.c = update_weights(state.z, spec.hyper, rng)
+        flags_beta, eta, cur = update_coefficients(state, data, spec,
+                                                   np.exp(log_scale[:, :d]), rng, work[0])
         flags = np.column_stack([
-            update_coefficients(state, data, spec, np.exp(log_scale[:, :d]), rng),
-            update_precisions(state, data, spec, np.exp(log_scale[:, d]), rng),
+            flags_beta,
+            update_precisions(state, data, spec, table, eta, cur,
+                              np.exp(log_scale[:, d]), rng),
         ])
         if sweep <= config.burn_in:
             log_scale += np.where(np.isnan(flags), 0.0, (flags - target) * sweep ** -0.6)

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from countmix.model import CovariateColumn, Dataset
+from countmix.model import CovariateColumn, Dataset, _nb_eta_terms, _nb_table
+from countmix.sampler import _linear_predictor
 
 # One line per acceptance criterion, printed in the terminal summary so the
 # pass/fail verdicts survive pytest's output capture.
@@ -20,6 +21,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("=", "acceptance criteria")
         for line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
+
+
+def current_table(state, data):
+    """The current psi's ``_nb_table``, which run_chain builds once a sweep."""
+    return _nb_table(data.y_unique, data.log_gamma_y1, state.psi)
+
+
+def psi_step_inputs(state, data):
+    """update_precisions' table, eta and cur, from the helpers a sweep uses."""
+    eta = _linear_predictor(state.beta, data.X, state.z)
+    return current_table(state, data), eta, _nb_eta_terms(data._yf, eta, state.psi[state.z])
 
 
 @pytest.fixture

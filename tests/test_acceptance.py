@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from conftest import current_table, psi_step_inputs, record_criterion
 from countmix.cli import (
     DEMO_TRUTH,
     DEMO_TRUTH_ZINB,
@@ -185,7 +185,8 @@ def test_criterion_3_grid_quadrature_oracles():
                        psi=np.array([psi_fixed]), z=z)
     samples_p = np.empty(draws)
     for it in range(burn + draws):
-        update_precisions(state, data, spec, np.array([2.4 * sd_lp]), rng)
+        update_precisions(state, data, spec, *psi_step_inputs(state, data),
+                          np.array([2.4 * sd_lp]), rng)
         if it >= burn:
             samples_p[it - burn] = state.psi[0]
     ks_p = _ks_against_grid(samples_p, grid_p, logd_p)
@@ -261,12 +262,13 @@ def _geweke_zscores(variant, seed):
     scales_p = np.full(k, 0.5)
     for _ in range(m2):
         data = Dataset(y=y, X=X, column_names=names)
-        update_assignments(state, data, rng)
+        table = current_table(state, data)
+        update_assignments(state, data, table, rng)
         if spec.zero_inflated:
-            update_zero_inflation(state, data, spec, rng)
+            update_zero_inflation(state, data, spec, table, rng)
         state.c = update_weights(state.z, hyper, rng)
-        update_coefficients(state, data, spec, scales_b, rng)
-        update_precisions(state, data, spec, scales_p, rng)
+        _, eta, cur = update_coefficients(state, data, spec, scales_b, rng)
+        update_precisions(state, data, spec, table, eta, cur, scales_p, rng)
         y = _geweke_generate_y(rng, state, X)
         successive.append(_geweke_scalars(state, y))
     successive = np.array(successive)

@@ -1105,7 +1105,8 @@ class TestFileFaults:
         assert not os.path.exists(tmp_path / "rep")
 
     def test_utf8_under_an_ascii_locale(self, tmp_path):
-        # Files were once read in the locale's encoding: 'ascii' here.
+        # Files were once read, and report's stdout is still written, in the
+        # locale's encoding: 'ascii' here.
         params = tmp_path / "p.json"
         params.write_bytes(json.dumps(dict(SMALL_PARAMS, covariates=[["âge", "normal"]]),
                                       ensure_ascii=False).encode("utf-8"))
@@ -1119,13 +1120,17 @@ class TestFileFaults:
             (["fit", "--input", os.path.join(sim_dir, "data.csv"), "--config", str(config),
               "--kmax", "3", "--iters", "60", "--burnin", "30", "--chains", "2",
               "--out", fit_dir], (EXIT_OK, EXIT_CONVERGENCE)),
+            # report prints the covariate name; stdout cannot encode it here.
+            (["report", "--traces", fit_dir], (EXIT_OK,)),
         ]:
             done = subprocess.run([sys.executable, "-m", "countmix.cli", *argv], env=env,
                                   capture_output=True)
             assert done.returncode in codes, done.stderr
             assert b"Traceback" not in done.stderr
-        with open(os.path.join(fit_dir, "irr_forest.csv"), encoding="utf-8") as fh:
-            assert "âge" in fh.read()
+        assert b"\\xe2ge" in done.stdout
+        for name in ("irr_forest.csv", "irr_table.csv"):
+            with open(os.path.join(fit_dir, name), encoding="utf-8") as fh:
+                assert "âge" in fh.read()
 
 
 def test_cli_import_is_numpy_only():

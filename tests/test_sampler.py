@@ -15,6 +15,7 @@ from countmix.model import (
     ParamState,
     generate_synthetic,
 )
+from conftest import current_table, psi_step_inputs
 from countmix import sampler
 from countmix.sampler import (
     SamplerConfig,
@@ -115,7 +116,7 @@ class TestUpdateAssignments:
                            beta=[[1.0, 0.0], [1.0, 0.0]], psi=[2.0, 2.0])
         counts = np.zeros(2)
         for _ in range(200):
-            z = update_assignments(state, small_dataset, rng)
+            z = update_assignments(state, small_dataset, current_table(state, small_dataset), rng)
             counts += np.bincount(z, minlength=2)
         total = counts.sum()
         se = math.sqrt(0.25 * 0.75 / total)
@@ -164,7 +165,7 @@ class TestUpdateAssignments:
         counts = np.zeros((6, 4))
         for _ in range(self.ORACLE_DRAWS // reps):
             state.z = np.tile(self.ORACLE_Z, reps)
-            z = update_assignments(state, data, rng).reshape(reps, 6)
+            z = update_assignments(state, data, current_table(state, data), rng).reshape(reps, 6)
             assert np.all((z >= 0) & (z < 4))
             for k in range(4):
                 counts[:, k] += (z == k).sum(axis=0)
@@ -180,18 +181,18 @@ class TestUpdateAssignments:
                            beta=[[0.5, 0.1], [1.5, 0.0], [2.5, -0.1]], psi=[1.0, 2.0, 3.0])
         for _ in range(200):
             state.z = np.arange(small_dataset.n) % 3
-            update_assignments(state, small_dataset, rng)
+            update_assignments(state, small_dataset, current_table(state, small_dataset), rng)
         # An empty slot of zero weight leaves c_E = 0 too.
         state.c = np.array([0.4, 0.6, 0.0])
         for _ in range(200):
             state.z = np.arange(small_dataset.n) % 2
-            z = update_assignments(state, small_dataset, rng)
+            z = update_assignments(state, small_dataset, current_table(state, small_dataset), rng)
             assert np.all(z < 2)
         assert envelope_rows == []
 
     def test_single_slot(self, small_dataset, rng):
         state = _state_for(small_dataset, 1, beta=[[1.0, 0.2]])
-        z = update_assignments(state, small_dataset, rng)
+        z = update_assignments(state, small_dataset, current_table(state, small_dataset), rng)
         np.testing.assert_array_equal(z, 0)
 
     def test_underflowed_occupied_weights_draw_exactly(self, rng):
@@ -205,7 +206,7 @@ class TestUpdateAssignments:
         z = np.empty(4000, dtype=int)
         for i in range(z.size):
             state.z[:] = 0
-            z[i] = update_assignments(state, data, rng)[0]
+            z[i] = update_assignments(state, data, current_table(state, data), rng)[0]
         assert set(np.unique(z)) == {2, 3}
         share = np.mean(z == 2)
         assert abs(share - 0.25 / 0.45) < 4 * math.sqrt(share * (1 - share) / z.size)
@@ -213,12 +214,12 @@ class TestUpdateAssignments:
         state.beta[3, 0] = 35.0
         for _ in range(200):
             state.z[:] = 0
-            assert update_assignments(state, data, rng)[0] == 2
+            assert update_assignments(state, data, current_table(state, data), rng)[0] == 2
 
     def test_nonfinite_occupied_weights_raise(self, small_dataset, rng):
         state = _state_for(small_dataset, 3, beta=[[np.nan, 0.0], [1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(SamplerError):
-            update_assignments(state, small_dataset, rng)
+            update_assignments(state, small_dataset, current_table(state, small_dataset), rng)
 
 
 class TestUpdateWeights:
@@ -253,11 +254,32 @@ class TestUpdateCoefficients:
         spec = ModelSpec("nb", Hyperparams(k_max=1))
         state = _state_for(small_dataset, 1, beta=[[1.5, -0.2]])
         before = state.beta.copy()
-        flags = update_coefficients(state, small_dataset, spec,
-                                    np.zeros((1, 2)), rng)
+        flags, _, _ = update_coefficients(state, small_dataset, spec,
+                                          np.zeros((1, 2)), rng)
         np.testing.assert_array_equal(state.beta, before)
         # Zero step means the proposal equals the current point: ratio 1.
         assert np.all(flags == 1.0)
+
+    def test_returns_the_current_linear_predictor_and_terms(self, small_dataset, rng):
+        # The psi step takes eta and cur as they are, so after the steps
+        # they must match a fresh evaluation at the updated beta.
+        spec = ModelSpec("nb", Hyperparams(k_max=3))
+        state = _state_for(small_dataset, 3, beta=[[1.5, 0.2], [1.0, -0.3], [0.0, 0.0]],
+                           psi=[2.0, 5.0, 1.0])
+        state.z = np.arange(small_dataset.n) % 2
+        moved = np.zeros((3, 2))
+        for _ in range(20):
+            flags, eta, cur = update_coefficients(state, small_dataset, spec,
+                                                  np.full((3, 2), 0.05), rng)
+            moved += np.nan_to_num(flags)
+            fresh = np.einsum("nd,nd->n", small_dataset.X, state.beta[state.z])
+            np.testing.assert_allclose(eta, fresh, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(
+                cur, negbin_log_pmf(small_dataset.y, np.exp(fresh), state.psi[state.z])
+                - sampler._nb_table(small_dataset.y_unique, small_dataset.log_gamma_y1,
+                                    state.psi)[state.z, small_dataset.y_inverse],
+                rtol=1e-10)
+        assert np.all(moved[:2] > 0)
 
     def test_empty_component_prior_refresh(self, small_dataset, rng):
         spec = ModelSpec("nb", Hyperparams(k_max=2))
@@ -277,7 +299,8 @@ class TestUpdatePrecisions:
     def test_zero_scale_never_moves(self, small_dataset, rng):
         spec = ModelSpec("nb", Hyperparams(k_max=1))
         state = _state_for(small_dataset, 1, psi=[3.0])
-        flags = update_precisions(state, small_dataset, spec, np.zeros(1), rng)
+        flags = update_precisions(state, small_dataset, spec,
+                                  *psi_step_inputs(state, small_dataset), np.zeros(1), rng)
         # exp(log(3) + 0) round-trips through log space
         assert state.psi[0] == pytest.approx(3.0, rel=1e-15)
         assert flags[0] == 1.0
@@ -288,7 +311,8 @@ class TestUpdatePrecisions:
         for _ in range(5000):
             state = _state_for(small_dataset, 2)
             state.z[:] = 0
-            update_precisions(state, small_dataset, spec, np.full(2, 0.3), rng)
+            update_precisions(state, small_dataset, spec, *psi_step_inputs(state, small_dataset),
+                              np.full(2, 0.3), rng)
             draws.append(state.psi[1])
         draws = np.array(draws)
         # Prior is log-normal(0, 2): median exp(0) = 1.
@@ -331,8 +355,9 @@ class TestVectorisedMetropolis:
         frozen_beta, frozen_psi = state.beta[1].copy(), state.psi[1]
         start = copy.deepcopy(state)
         for _ in range(50):
-            flags_b = update_coefficients(state, data, spec, beta_scales, rng)
-            flags_p = update_precisions(state, data, spec, psi_scales, rng)
+            flags_b, eta, cur = update_coefficients(state, data, spec, beta_scales, rng)
+            flags_p = update_precisions(state, data, spec, current_table(state, data), eta, cur,
+                                        psi_scales, rng)
             np.testing.assert_array_equal(flags_b[1], 1.0)
             assert flags_p[1] == 1.0
             assert np.all(np.isnan(flags_b[2])) and np.isnan(flags_p[2])
@@ -382,7 +407,7 @@ class TestVectorisedMetropolis:
         psi_scales = np.array([2.4 * grid_sd(grid_lp, logd_lp), 0.3, 0.3])
         log_psi = np.empty(draws)
         for it in range(burn + draws):
-            update_precisions(state, data, spec, psi_scales, rng)
+            update_precisions(state, data, spec, *psi_step_inputs(state, data), psi_scales, rng)
             if it >= burn:
                 log_psi[it - burn] = math.log(state.psi[0])
         assert state.psi[1] != 10.0
@@ -452,8 +477,9 @@ class TestVectorisedMetropolis:
         scales_b, scales_p = np.full((5, 3), 0.2), np.full(5, 0.5)
         for it in range(100):
             rng_vec, rng_ref = np.random.default_rng(it), np.random.default_rng(it)
-            flags_vec = (update_coefficients(vec, data, spec, scales_b, rng_vec),
-                         update_precisions(vec, data, spec, scales_p, rng_vec))
+            flags_b, eta, cur = update_coefficients(vec, data, spec, scales_b, rng_vec)
+            flags_vec = (flags_b, update_precisions(vec, data, spec, current_table(vec, data),
+                                                    eta, cur, scales_p, rng_vec))
             flags_ref = reference(ref, data, hyper, scales_b, scales_p, rng_ref)
             for a, b in zip(flags_vec, flags_ref):
                 np.testing.assert_array_equal(a, b)
@@ -475,7 +501,7 @@ class TestUpdateZeroInflation:
         draws = []
         for _ in range(4000):
             state = _state_for(data, 1, beta=[[2.0]], pi=[0.0])
-            pi, w = update_zero_inflation(state, data, spec, rng)
+            pi, w = update_zero_inflation(state, data, spec, current_table(state, data), rng)
             assert np.all(w == 0)
             draws.append(pi[0])
         # Posterior is Beta(1, 1 + n); check the analytic mean.
@@ -493,7 +519,7 @@ class TestUpdateZeroInflation:
         m = 30000
         for _ in range(m):
             state = _state_for(data, 1, beta=[[0.0]], psi=[1.0], pi=[0.5])
-            _, w = update_zero_inflation(state, data, spec, rng)
+            _, w = update_zero_inflation(state, data, spec, current_table(state, data), rng)
             hits += int(w[0])
         se = math.sqrt((2 / 3) * (1 / 3) / m)
         assert abs(hits / m - 2 / 3) < 4 * se
@@ -502,7 +528,7 @@ class TestUpdateZeroInflation:
         data = self._zinb_setup()
         spec = ModelSpec("zinb", Hyperparams(k_max=1))
         state = _state_for(data, 1, beta=[[2.0]], pi=[0.9])
-        _, w = update_zero_inflation(state, data, spec, rng)
+        _, w = update_zero_inflation(state, data, spec, current_table(state, data), rng)
         assert np.all(w[data.y > 0] == 0)
 
 
@@ -531,8 +557,9 @@ class TestZeroInflationConditionals:
         spec = ModelSpec("zinb", Hyperparams(k_max=3), pi_prior=self.PI_PRIOR)
         rng = np.random.default_rng(17)
         pis, ws = [], []
+        table = current_table(state, data)
         for _ in range(self.DRAWS):
-            pi, w = update_zero_inflation(copy.deepcopy(state), data, spec, rng)
+            pi, w = update_zero_inflation(copy.deepcopy(state), data, spec, table, rng)
             pis.append(pi)
             ws.append(w)
         return data, state, np.array(pis), np.array(ws)
@@ -621,6 +648,25 @@ class TestRunChain:
             rates = trace.accept_rates["beta"][k]
             assert np.all((rates > 0.15) & (rates < 0.6))
             assert 0.15 < trace.accept_rates["psi"][k] < 0.6
+
+    def test_one_current_psi_table_per_sweep(self, two_component_truth, monkeypatch):
+        # run_chain builds the current psi's (K, U) table once and the psi
+        # step builds the proposal's: 2 K (U + 1) ln Gamma cells per sweep.
+        t = two_component_truth
+        data, _ = generate_synthetic(t["c"], t["beta"], t["psi"], 200,
+                                     t["covariates"], seed=8)
+        k = 4
+        cells = []
+        table = sampler._nb_table
+
+        def counting(y, log_gamma_y1, psi):
+            cells.append(np.size(psi) * (np.size(y) + 1))
+            return table(y, log_gamma_y1, psi)
+
+        monkeypatch.setattr(sampler, "_nb_table", counting)
+        cfg = SamplerConfig(iterations=20, burn_in=10, chains=1, master_seed=42)
+        run_chain(ModelSpec("nb", Hyperparams(k_max=k)), data, cfg, chain_id=0)
+        assert sum(cells) == 20 * 2 * k * (data.y_unique.size + 1)
 
     def test_zinb_states_valid(self):
         data, _ = generate_synthetic([1.0], [[math.log(6.0)]], [4.0], 300, [],
