@@ -7,10 +7,10 @@ all components at once (given z they are conditionally independent).
 Proposal scales adapt toward a target acceptance rate during burn-in only,
 so the stored chain is a valid Markov chain.
 
-Each sweep computes what its blocks share once: ``run_chain`` builds the
-current psi's ``_nb_table`` for the assignment, zero-inflation and psi
-steps, and the beta step hands its linear predictor and NB terms to the
-psi step.
+``sweep`` runs the blocks in this order and computes what they share once:
+the current psi's ``_nb_table`` and the rows per component, counted after
+the assignment draw.  The beta step hands its linear predictor and NB terms
+to the psi step.  ``run_chain`` adds adaptation, checks and storage.
 """
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "update_coefficients",
     "update_precisions",
     "update_zero_inflation",
+    "sweep",
     "run_chain",
     "run_chains",
 ]
@@ -144,9 +146,9 @@ def update_assignments(state: ParamState, data: Dataset, table: np.ndarray,
     so every z_n has exactly the dense draw's law.
 
     table is the current psi's ``_nb_table`` over ``data.y_unique``.
-    work is a (2, K, N) float array for the kernel's temporaries.  run_chain
-    passes the same one every sweep, so they are not handed back to the
-    operating system and faulted in again.
+    work is a (2, K, N) float array for the kernel's temporaries.  A chain
+    passes the same one to every ``sweep``, so they are not handed back to
+    the operating system and faulted in again.
     """
     c = state.c
     if work is None:
@@ -179,9 +181,8 @@ def update_assignments(state: ParamState, data: Dataset, table: np.ndarray,
     return z
 
 
-def update_weights(z: np.ndarray, hyper, rng: np.random.Generator) -> np.ndarray:
-    """Conjugate Dirichlet(alpha0 + counts) draw of the mixing weights."""
-    counts = np.bincount(z, minlength=hyper.k_max).astype(float)
+def update_weights(counts: np.ndarray, hyper, rng: np.random.Generator) -> np.ndarray:
+    """Conjugate Dirichlet(alpha0 + counts) draw of the weights, given row counts."""
     return sample_dirichlet(hyper.alpha0 + counts, rng)
 
 
@@ -205,7 +206,7 @@ def _linear_predictor(beta: np.ndarray, X: np.ndarray, z: np.ndarray,
     return np.matmul(beta, X.T, out=out).take(z * n + np.arange(n))
 
 
-def update_coefficients(state: ParamState, data: Dataset, spec: ModelSpec,
+def update_coefficients(state: ParamState, data: Dataset, spec: ModelSpec, counts: np.ndarray,
                         scales: np.ndarray, rng: np.random.Generator,
                         work: np.ndarray | None = None):
     """Random-walk Metropolis on beta, one coordinate at a time, in place.
@@ -215,8 +216,8 @@ def update_coefficients(state: ParamState, data: Dataset, spec: ModelSpec,
     NaN where the component was empty and beta was refreshed from the
     prior), and each row's linear predictor and ``_nb_eta_terms`` at the
     current psi, kept current through the steps, which the psi step takes
-    as they are.  work, if given, is a (K, N) float array for the product
-    that forms eta.
+    as they are.  counts is the rows per component; work, if given, is a
+    (K, N) float array for the product that forms eta.
     """
     hyper = spec.hyper
     k_max, d_dim = state.beta.shape
@@ -245,13 +246,13 @@ def update_coefficients(state: ParamState, data: Dataset, spec: ModelSpec,
         np.copyto(cur, new, where=moved)
     state.beta[accept] = proposed[accept]
     flags = accept.astype(float)
-    empty = np.bincount(z, minlength=k_max) == 0
+    empty = counts == 0
     state.beta[empty] = rng.normal(hyper.m0, hyper.s0, size=(int(empty.sum()), d_dim))
     flags[empty] = np.nan
     return flags, eta, cur
 
 
-def update_precisions(state: ParamState, data: Dataset, spec: ModelSpec,
+def update_precisions(state: ParamState, data: Dataset, spec: ModelSpec, counts: np.ndarray,
                       table: np.ndarray, eta: np.ndarray, cur: np.ndarray,
                       scales: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Random-walk Metropolis on log psi, all components at once, in place.
@@ -259,10 +260,10 @@ def update_precisions(state: ParamState, data: Dataset, spec: ModelSpec,
     The log-normal prior is expressed in ln psi (ln psi ~ N(a0, b0^2)), so
     the symmetric proposal needs no Jacobian correction.  The psi-only
     likelihood terms enter through per-(component, unique y) row counts.
-    table is the current psi's ``_nb_table``, and eta and cur are each
-    row's linear predictor and ``_nb_eta_terms`` at the current state, as
-    ``update_coefficients`` returns them; only the proposal's table and
-    row terms are built here.
+    counts is the rows per component, table the current psi's ``_nb_table``,
+    and eta and cur each row's linear predictor and ``_nb_eta_terms`` at the
+    current state, as ``update_coefficients`` returns them; only the
+    proposal's table and row terms are built here.
     """
     hyper = spec.hyper
     k_max = state.psi.shape[0]
@@ -286,20 +287,20 @@ def update_precisions(state: ParamState, data: Dataset, spec: ModelSpec,
     accept = np.isfinite(log_ratio) & (log_u < log_ratio)
     state.psi[accept] = psi_new[accept]
     flags = accept.astype(float)
-    empty = np.bincount(z, minlength=k_max) == 0
+    empty = counts == 0
     state.psi[empty] = np.exp(rng.normal(hyper.a0, hyper.b0, size=int(empty.sum())))
     flags[empty] = np.nan
     return flags
 
 
-def update_zero_inflation(state: ParamState, data: Dataset, spec: ModelSpec,
+def update_zero_inflation(state: ParamState, data: Dataset, spec: ModelSpec, counts: np.ndarray,
                           table: np.ndarray, rng: np.random.Generator):
     """Draw structural-zero indicators w and per-component pi, in place (zinb).
 
-    table is the current psi's ``_nb_table``.  Whenever zero rows exist,
-    ``data.y_unique[0]`` is 0, so its column 0 is ln NB(0)'s psi-only part.
+    counts is the rows per component, table the current psi's ``_nb_table``.
+    Whenever zero rows exist, ``data.y_unique[0]`` is 0, so its column 0 is
+    ln NB(0)'s psi-only part.
     """
-    k_max = state.c.shape[0]
     a, b = spec.pi_prior
     w = np.zeros(data.n, dtype=np.int8)
     zero_idx = np.flatnonzero(data.zero_mask)
@@ -312,9 +313,8 @@ def update_zero_inflation(state: ParamState, data: Dataset, spec: ModelSpec,
         p0 = (1.0 - pi_z) * np.exp(log_nb0)
         prob = np.where(p1 + p0 > 0, p1 / (p1 + p0), 0.0)
         w[zero_idx] = (rng.random(zero_idx.size) < prob).astype(np.int8)
-    n_k = np.bincount(state.z, minlength=k_max).astype(float)
-    s_k = np.bincount(state.z[w == 1], minlength=k_max).astype(float)
-    state.pi = rng.beta(a + s_k, b + n_k - s_k)
+    s_k = np.bincount(state.z[w == 1], minlength=counts.size).astype(float)
+    state.pi = rng.beta(a + s_k, b + counts - s_k)
     state.w = w
     return state.pi, w
 
@@ -344,7 +344,30 @@ def _initial_state(data: Dataset, spec: ModelSpec, chain_id: int) -> ParamState:
     return state
 
 
-def _check_finite(state: ParamState, sweep: int, chain_id: int):
+def sweep(state: ParamState, data: Dataset, spec: ModelSpec, scales: np.ndarray,
+          rng: np.random.Generator, work: np.ndarray | None = None):
+    """Update every block once, in place; returns (flags, counts).
+
+    The proposal scales and the acceptance flags are (K, D + 1): the beta
+    coordinates, then ln psi.  counts is the rows per component after the
+    assignment draw.  work is a (2, K, N) float array for temporaries.
+    """
+    k, d = spec.hyper.k_max, data.d
+    work = np.empty((2, k, data.n)) if work is None else work
+    # psi changes only in the last block, so one table serves the sweep.
+    table = _nb_table(data.y_unique, data.log_gamma_y1, state.psi)
+    update_assignments(state, data, table, rng, work)
+    counts = np.bincount(state.z, minlength=k)
+    if spec.zero_inflated:
+        update_zero_inflation(state, data, spec, counts, table, rng)
+    state.c = update_weights(counts, spec.hyper, rng)
+    flags_beta, eta, cur = update_coefficients(state, data, spec, counts, scales[:, :d],
+                                               rng, work[0])
+    flags_psi = update_precisions(state, data, spec, counts, table, eta, cur, scales[:, d], rng)
+    return np.column_stack([flags_beta, flags_psi]), counts
+
+
+def _check_finite(state: ParamState, iteration: int, chain_id: int):
     ok = (
         np.all(np.isfinite(state.c))
         and np.all(np.isfinite(state.beta))
@@ -352,7 +375,7 @@ def _check_finite(state: ParamState, sweep: int, chain_id: int):
         and np.all(state.psi > 0)
     )
     if not ok:
-        raise SamplerError(f"non-finite parameter state at sweep {sweep} (chain {chain_id})")
+        raise SamplerError(f"non-finite parameter state at sweep {iteration} (chain {chain_id})")
 
 
 def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
@@ -379,33 +402,21 @@ def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
     target = config.target_accept
     work = np.empty((2, k, data.n))
     s = 0
-    for sweep in range(1, config.iterations + 1):
-        # psi changes only in the last block, so one table serves the sweep.
-        table = _nb_table(data.y_unique, data.log_gamma_y1, state.psi)
-        update_assignments(state, data, table, rng, work)
-        if spec.zero_inflated:
-            update_zero_inflation(state, data, spec, table, rng)
-        state.c = update_weights(state.z, spec.hyper, rng)
-        flags_beta, eta, cur = update_coefficients(state, data, spec,
-                                                   np.exp(log_scale[:, :d]), rng, work[0])
-        flags = np.column_stack([
-            flags_beta,
-            update_precisions(state, data, spec, table, eta, cur,
-                              np.exp(log_scale[:, d]), rng),
-        ])
-        if sweep <= config.burn_in:
-            log_scale += np.where(np.isnan(flags), 0.0, (flags - target) * sweep ** -0.6)
-            if sweep % 200 == 0:
-                _check_finite(state, sweep, chain_id)
+    for iteration in range(1, config.iterations + 1):
+        flags, counts = sweep(state, data, spec, np.exp(log_scale), rng, work)
+        if iteration <= config.burn_in:
+            log_scale += np.where(np.isnan(flags), 0.0, (flags - target) * iteration ** -0.6)
+            if iteration % 200 == 0:
+                _check_finite(state, iteration, chain_id)
         else:
             accepted += np.nan_to_num(flags)
             trials += ~np.isnan(flags)
-            if (sweep - config.burn_in) % config.thin == 0:
-                _check_finite(state, sweep, chain_id)
+            if (iteration - config.burn_in) % config.thin == 0:
+                _check_finite(state, iteration, chain_id)
                 stored_c[s] = state.c
                 stored_beta[s] = state.beta
                 stored_psi[s] = state.psi
-                stored_counts[s] = np.bincount(state.z, minlength=k)
+                stored_counts[s] = counts
                 if stored_pi is not None:
                     stored_pi[s] = state.pi
                 s += 1
@@ -429,24 +440,18 @@ def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
     )
 
 
-def _chain_worker(args):
-    spec, data, config, chain_id = args
-    return run_chain(spec, data, config, chain_id)
-
-
 def run_chains(spec: ModelSpec, data: Dataset, config: SamplerConfig,
                parallel: bool = True) -> list[Trace]:
     """Run all configured chains; output is identical to sequential runs."""
-    jobs = [(spec, data, config, cid) for cid in range(config.chains)]
-    if not parallel or config.chains == 1:
-        return [run_chain(*job) for job in jobs]
-    workers = min(config.chains, os.cpu_count() or 1)
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(_chain_worker, jobs))
-    except BrokenProcessPool as exc:
-        raise SamplerError(f"a chain worker process died: {exc}") from exc
-    except OSError:
-        # Sandboxed environments may forbid subprocesses; fall back.
-        traces = [run_chain(*job) for job in jobs]
-    return traces
+    chain_ids = range(config.chains)
+    if parallel and config.chains > 1:
+        workers = min(config.chains, os.cpu_count() or 1)
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(run_chain, repeat(spec), repeat(data), repeat(config),
+                                     chain_ids))
+        except BrokenProcessPool as exc:
+            raise SamplerError(f"a chain worker process died: {exc}") from exc
+        except OSError:
+            pass  # Sandboxed environments may forbid subprocesses; run them here.
+    return [run_chain(spec, data, config, cid) for cid in chain_ids]

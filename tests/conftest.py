@@ -24,14 +24,19 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def current_table(state, data):
-    """The current psi's ``_nb_table``, which run_chain builds once a sweep."""
+    """The current psi's ``_nb_table``, which ``sampler.sweep`` builds once a sweep."""
     return _nb_table(data.y_unique, data.log_gamma_y1, state.psi)
 
 
+def sweep_shared(state, data):
+    """The rows per component and current psi's table, as ``sampler.sweep`` hands them on."""
+    return np.bincount(state.z, minlength=state.c.size), current_table(state, data)
+
+
 def psi_step_inputs(state, data):
-    """update_precisions' table, eta and cur, from the helpers a sweep uses."""
+    """update_precisions' counts, table, eta and cur, from the helpers a sweep uses."""
     eta = _linear_predictor(state.beta, data.X, state.z)
-    return current_table(state, data), eta, _nb_eta_terms(data._yf, eta, state.psi[state.z])
+    return *sweep_shared(state, data), eta, _nb_eta_terms(data._yf, eta, state.psi[state.z])
 
 
 @pytest.fixture

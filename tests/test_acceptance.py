@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import current_table, psi_step_inputs, record_criterion
+from conftest import psi_step_inputs, record_criterion
 from countmix.cli import (
     DEMO_TRUTH,
     DEMO_TRUTH_ZINB,
@@ -43,11 +43,10 @@ from countmix.model import (
 from countmix.sampler import (
     SamplerConfig,
     run_chains,
-    update_assignments,
+    sweep,
     update_coefficients,
     update_precisions,
     update_weights,
-    update_zero_inflation,
 )
 from oracles import _nb_logpmf_raw, negbin_log_pmf
 
@@ -95,7 +94,7 @@ def test_criterion_2_conjugacy_exactness():
     m = 10 ** 5
     total = np.zeros(3)
     for _ in range(m):
-        total += update_weights(z, hyper, rng)
+        total += update_weights(np.bincount(z, minlength=3), hyper, rng)
     empirical = total / m
     alpha = np.array([420.1, 4091.1, 2607.1])
     a0 = alpha.sum()
@@ -126,12 +125,18 @@ def _ks_against_grid(samples, grid, log_density):
     return max(np.max(np.abs(ecdf_hi - grid_cdf)), np.max(np.abs(ecdf_lo - grid_cdf)))
 
 
+def _grid_sd(grid, log_density):
+    """Standard deviation of a density known up to a constant on a grid."""
+    dens = np.exp(log_density - log_density.max())
+    dens /= dens.sum()
+    return math.sqrt(np.sum(dens * (grid - np.sum(dens * grid)) ** 2))
+
+
 def test_criterion_3_grid_quadrature_oracles():
     start = time.time()
     hyper = Hyperparams(k_max=1)
     spec = ModelSpec("nb", hyper)
     beta_true = np.array([[math.log(8.0), 0.4]])
-    from countmix.model import CovariateColumn
     data, _ = generate_synthetic([1.0], beta_true, [3.0], 50,
                                  [CovariateColumn("x1", "normal")], seed=101)
     z = np.zeros(50, dtype=np.int64)
@@ -148,9 +153,7 @@ def test_criterion_3_grid_quadrature_oracles():
     b0_fixed, psi_fixed = math.log(8.0), 3.0
     grid_b = np.linspace(0.4 - 0.8, 0.4 + 0.8, 4001)
     logd_b = conditional_beta1(grid_b, b0_fixed, psi_fixed)
-    dens = np.exp(logd_b - logd_b.max())
-    dens /= dens.sum()
-    sd_b = math.sqrt(np.sum(dens * (grid_b - np.sum(dens * grid_b)) ** 2))
+    sd_b = _grid_sd(grid_b, logd_b)
 
     rng = np.random.default_rng(7)
     state = ParamState(c=np.array([1.0]), beta=np.array([[b0_fixed, 0.4]]),
@@ -158,7 +161,7 @@ def test_criterion_3_grid_quadrature_oracles():
     scales = np.array([[0.0, 2.4 * sd_b]])  # frozen intercept, tuned slope
     samples_b = np.empty(draws)
     for it in range(burn + draws):
-        update_coefficients(state, data, spec, scales, rng)
+        update_coefficients(state, data, spec, np.bincount(z, minlength=1), scales, rng)
         if it >= burn:
             samples_b[it - burn] = state.beta[0, 1]
     ks_b = _ks_against_grid(samples_b, grid_b, logd_b)
@@ -175,10 +178,7 @@ def test_criterion_3_grid_quadrature_oracles():
 
     grid_p = np.linspace(0.8, 15.0, 4001)
     logd_p = conditional_psi(grid_p)
-    dens_p = np.exp(logd_p - logd_p.max())
-    dens_p /= dens_p.sum()
-    mean_lp = np.sum(dens_p * np.log(grid_p))
-    sd_lp = math.sqrt(np.sum(dens_p * (np.log(grid_p) - mean_lp) ** 2))
+    sd_lp = _grid_sd(np.log(grid_p), logd_p)
 
     rng = np.random.default_rng(8)
     state = ParamState(c=np.array([1.0]), beta=np.array([[b0_fixed, 0.4]]),
@@ -258,17 +258,8 @@ def _geweke_zscores(variant, seed):
     state = _geweke_prior_draw(rng, hyper, spec, X)
     y = _geweke_generate_y(rng, state, X)
     successive = []
-    scales_b = np.full((k, 2), 0.5)
-    scales_p = np.full(k, 0.5)
     for _ in range(m2):
-        data = Dataset(y=y, X=X, column_names=names)
-        table = current_table(state, data)
-        update_assignments(state, data, table, rng)
-        if spec.zero_inflated:
-            update_zero_inflation(state, data, spec, table, rng)
-        state.c = update_weights(state.z, hyper, rng)
-        _, eta, cur = update_coefficients(state, data, spec, scales_b, rng)
-        update_precisions(state, data, spec, table, eta, cur, scales_p, rng)
+        sweep(state, Dataset(y=y, X=X, column_names=names), spec, np.full((k, 3), 0.5), rng)
         y = _geweke_generate_y(rng, state, X)
         successive.append(_geweke_scalars(state, y))
     successive = np.array(successive)

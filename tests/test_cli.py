@@ -687,7 +687,7 @@ class TestFit:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
+            def map(self, fn, *iterables):
                 raise BrokenProcessPool("a worker was killed")
 
         monkeypatch.setattr(sampler, "ProcessPoolExecutor", CrashingPool)

@@ -15,7 +15,7 @@ from countmix.model import (
     ParamState,
     generate_synthetic,
 )
-from conftest import current_table, psi_step_inputs
+from conftest import current_table, psi_step_inputs, sweep_shared
 from countmix import sampler
 from countmix.sampler import (
     SamplerConfig,
@@ -69,6 +69,18 @@ def responsibilities(state, data):
     with np.errstate(divide="ignore"):
         _to_weights(log_r, np.log(state.c))
     return (log_r / log_r.sum(axis=0)).T
+
+
+def _spy(monkeypatch, name):
+    """Wrap sampler.<name>; returns the list of (args, result) of the calls it sees."""
+    calls, fn = [], getattr(sampler, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, fn(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(sampler, name, spy)
+    return calls
 
 
 class TestResponsibilities:
@@ -132,18 +144,9 @@ class TestUpdateAssignments:
     ORACLE_COPIES = 2_000      # each draw updates this many copies of every row
 
     @staticmethod
-    def _envelope_rows(monkeypatch):
-        """Count the rows update_assignments evaluates on all K components."""
-        seen = []
-        kernel = sampler._log_pmf
-
-        def counting(data, table, beta, psi, pi, rows=slice(None), **kwargs):
-            if not isinstance(rows, slice):
-                seen.append(len(rows))
-            return kernel(data, table, beta, psi, pi, rows, **kwargs)
-
-        monkeypatch.setattr(sampler, "_log_pmf", counting)
-        return seen
+    def _envelope_rows(calls):
+        """Per _log_pmf call that passed rows, how many rows it evaluated on all K components."""
+        return [len(args[5]) for args, _ in calls if len(args) > 5]
 
     @pytest.mark.parametrize("variant", ["nb", "zinb"])
     def test_envelope_draw_matches_dense_categorical(self, variant, monkeypatch):
@@ -160,7 +163,7 @@ class TestUpdateAssignments:
             pi=np.array([0.1, 0.2, 0.5, 0.3]) if variant == "zinb" else None,
         )
         expected = self.ORACLE_DRAWS * responsibilities(state, data)[:6]
-        envelope_rows = self._envelope_rows(monkeypatch)
+        calls = _spy(monkeypatch, "_log_pmf")
         rng = np.random.default_rng(2024)
         counts = np.zeros((6, 4))
         for _ in range(self.ORACLE_DRAWS // reps):
@@ -169,6 +172,7 @@ class TestUpdateAssignments:
             assert np.all((z >= 0) & (z < 4))
             for k in range(4):
                 counts[:, k] += (z == k).sum(axis=0)
+        envelope_rows = self._envelope_rows(calls)
         assert len(envelope_rows) == self.ORACLE_DRAWS // reps
         assert sum(envelope_rows) > 0.2 * self.ORACLE_DRAWS * 6
         for n in range(6):
@@ -176,7 +180,7 @@ class TestUpdateAssignments:
 
     def test_all_slots_occupied_never_draws_the_envelope(self, small_dataset, rng,
                                                          monkeypatch):
-        envelope_rows = self._envelope_rows(monkeypatch)
+        calls = _spy(monkeypatch, "_log_pmf")
         state = _state_for(small_dataset, 3, c=[0.2, 0.3, 0.5],
                            beta=[[0.5, 0.1], [1.5, 0.0], [2.5, -0.1]], psi=[1.0, 2.0, 3.0])
         for _ in range(200):
@@ -188,7 +192,7 @@ class TestUpdateAssignments:
             state.z = np.arange(small_dataset.n) % 2
             z = update_assignments(state, small_dataset, current_table(state, small_dataset), rng)
             assert np.all(z < 2)
-        assert envelope_rows == []
+        assert self._envelope_rows(calls) == []
 
     def test_single_slot(self, small_dataset, rng):
         state = _state_for(small_dataset, 1, beta=[[1.0, 0.2]])
@@ -225,7 +229,7 @@ class TestUpdateAssignments:
 class TestUpdateWeights:
     def test_empty_counts_sample_prior(self, rng):
         hyper = Hyperparams(alpha0=0.5, k_max=3)
-        draws = np.array([update_weights(np.empty(0, dtype=int), hyper, rng)
+        draws = np.array([update_weights(np.bincount([], minlength=3), hyper, rng)
                           for _ in range(20000)])
         se = math.sqrt((1 / 3) * (2 / 3) / 2.5 / draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - 1 / 3) < 4 * se)
@@ -237,10 +241,10 @@ class TestUpdateWeights:
         np.testing.assert_allclose(mean, [0.05902, 0.57475, 0.36624], atol=5e-5)
 
     def test_posterior_moments_monte_carlo(self, rng):
-        z = np.repeat([0, 1, 2], [420, 4091, 2607])
+        counts = np.bincount(np.repeat([0, 1, 2], [420, 4091, 2607]), minlength=3)
         hyper = Hyperparams(alpha0=0.1, k_max=3)
         m = 20000
-        draws = np.array([update_weights(z, hyper, rng) for _ in range(m)])
+        draws = np.array([update_weights(counts, hyper, rng) for _ in range(m)])
         alpha = np.array([420.1, 4091.1, 2607.1])
         a0 = alpha.sum()
         mean = alpha / a0
@@ -255,7 +259,7 @@ class TestUpdateCoefficients:
         state = _state_for(small_dataset, 1, beta=[[1.5, -0.2]])
         before = state.beta.copy()
         flags, _, _ = update_coefficients(state, small_dataset, spec,
-                                          np.zeros((1, 2)), rng)
+                                          np.bincount(state.z, minlength=1), np.zeros((1, 2)), rng)
         np.testing.assert_array_equal(state.beta, before)
         # Zero step means the proposal equals the current point: ratio 1.
         assert np.all(flags == 1.0)
@@ -268,8 +272,9 @@ class TestUpdateCoefficients:
                            psi=[2.0, 5.0, 1.0])
         state.z = np.arange(small_dataset.n) % 2
         moved = np.zeros((3, 2))
+        counts = np.bincount(state.z, minlength=3)
         for _ in range(20):
-            flags, eta, cur = update_coefficients(state, small_dataset, spec,
+            flags, eta, cur = update_coefficients(state, small_dataset, spec, counts,
                                                   np.full((3, 2), 0.05), rng)
             moved += np.nan_to_num(flags)
             fresh = np.einsum("nd,nd->n", small_dataset.X, state.beta[state.z])
@@ -287,7 +292,8 @@ class TestUpdateCoefficients:
         for _ in range(5000):
             state = _state_for(small_dataset, 2)
             state.z[:] = 0  # component 1 empty
-            update_coefficients(state, small_dataset, spec, np.full((2, 2), 0.1), rng)
+            update_coefficients(state, small_dataset, spec, np.bincount(state.z, minlength=2),
+                                np.full((2, 2), 0.1), rng)
             draws.append(state.beta[1].copy())
         draws = np.array(draws)
         se_mean = 10.0 / math.sqrt(draws.shape[0])
@@ -355,8 +361,9 @@ class TestVectorisedMetropolis:
         frozen_beta, frozen_psi = state.beta[1].copy(), state.psi[1]
         start = copy.deepcopy(state)
         for _ in range(50):
-            flags_b, eta, cur = update_coefficients(state, data, spec, beta_scales, rng)
-            flags_p = update_precisions(state, data, spec, current_table(state, data), eta, cur,
+            counts, table = sweep_shared(state, data)
+            flags_b, eta, cur = update_coefficients(state, data, spec, counts, beta_scales, rng)
+            flags_p = update_precisions(state, data, spec, counts, table, eta, cur,
                                         psi_scales, rng)
             np.testing.assert_array_equal(flags_b[1], 1.0)
             assert flags_p[1] == 1.0
@@ -371,17 +378,12 @@ class TestVectorisedMetropolis:
     def test_grid_quadrature_with_other_components_updating(self):
         # Criterion 3's oracle for component 0's slope and log psi, while
         # component 1 moves in the same calls and component 2 is refreshed.
-        from test_acceptance import _ks_against_grid
+        from test_acceptance import _grid_sd, _ks_against_grid
 
         data, data0, state = self._three_components()
         hyper = Hyperparams(k_max=3)
         spec = ModelSpec("nb", hyper)
         b0, psi0 = math.log(8.0), 3.0
-
-        def grid_sd(grid, log_density):
-            dens = np.exp(log_density - log_density.max())
-            dens /= dens.sum()
-            return math.sqrt(np.sum(dens * (grid - np.sum(dens * grid)) ** 2))
 
         grid_b = np.linspace(-0.4, 1.2, 4001)
         mu_grid = np.exp(b0 + grid_b[:, None] * data0.X[:, 1])
@@ -394,17 +396,18 @@ class TestVectorisedMetropolis:
 
         draws, burn = 50000, 2000
         rng = np.random.default_rng(7)
-        beta_scales = np.array([[0.0, 2.4 * grid_sd(grid_b, logd_b)], [0.05, 0.05], [0.1, 0.1]])
+        beta_scales = np.array([[0.0, 2.4 * _grid_sd(grid_b, logd_b)], [0.05, 0.05], [0.1, 0.1]])
         slope = np.empty(draws)
+        counts = np.bincount(state.z, minlength=3)
         for it in range(burn + draws):
-            update_coefficients(state, data, spec, beta_scales, rng)
+            update_coefficients(state, data, spec, counts, beta_scales, rng)
             if it >= burn:
                 slope[it - burn] = state.beta[0, 1]
         assert state.beta[1, 0] != math.log(30.0)
 
         state.beta[0] = [b0, 0.4]
         rng = np.random.default_rng(8)
-        psi_scales = np.array([2.4 * grid_sd(grid_lp, logd_lp), 0.3, 0.3])
+        psi_scales = np.array([2.4 * _grid_sd(grid_lp, logd_lp), 0.3, 0.3])
         log_psi = np.empty(draws)
         for it in range(burn + draws):
             update_precisions(state, data, spec, *psi_step_inputs(state, data), psi_scales, rng)
@@ -477,9 +480,10 @@ class TestVectorisedMetropolis:
         scales_b, scales_p = np.full((5, 3), 0.2), np.full(5, 0.5)
         for it in range(100):
             rng_vec, rng_ref = np.random.default_rng(it), np.random.default_rng(it)
-            flags_b, eta, cur = update_coefficients(vec, data, spec, scales_b, rng_vec)
-            flags_vec = (flags_b, update_precisions(vec, data, spec, current_table(vec, data),
-                                                    eta, cur, scales_p, rng_vec))
+            counts, table = sweep_shared(vec, data)
+            flags_b, eta, cur = update_coefficients(vec, data, spec, counts, scales_b, rng_vec)
+            flags_vec = (flags_b, update_precisions(vec, data, spec, counts, table, eta, cur,
+                                                    scales_p, rng_vec))
             flags_ref = reference(ref, data, hyper, scales_b, scales_p, rng_ref)
             for a, b in zip(flags_vec, flags_ref):
                 np.testing.assert_array_equal(a, b)
@@ -501,7 +505,7 @@ class TestUpdateZeroInflation:
         draws = []
         for _ in range(4000):
             state = _state_for(data, 1, beta=[[2.0]], pi=[0.0])
-            pi, w = update_zero_inflation(state, data, spec, current_table(state, data), rng)
+            pi, w = update_zero_inflation(state, data, spec, *sweep_shared(state, data), rng)
             assert np.all(w == 0)
             draws.append(pi[0])
         # Posterior is Beta(1, 1 + n); check the analytic mean.
@@ -519,7 +523,7 @@ class TestUpdateZeroInflation:
         m = 30000
         for _ in range(m):
             state = _state_for(data, 1, beta=[[0.0]], psi=[1.0], pi=[0.5])
-            _, w = update_zero_inflation(state, data, spec, current_table(state, data), rng)
+            _, w = update_zero_inflation(state, data, spec, *sweep_shared(state, data), rng)
             hits += int(w[0])
         se = math.sqrt((2 / 3) * (1 / 3) / m)
         assert abs(hits / m - 2 / 3) < 4 * se
@@ -528,7 +532,7 @@ class TestUpdateZeroInflation:
         data = self._zinb_setup()
         spec = ModelSpec("zinb", Hyperparams(k_max=1))
         state = _state_for(data, 1, beta=[[2.0]], pi=[0.9])
-        _, w = update_zero_inflation(state, data, spec, current_table(state, data), rng)
+        _, w = update_zero_inflation(state, data, spec, *sweep_shared(state, data), rng)
         assert np.all(w[data.y > 0] == 0)
 
 
@@ -557,9 +561,9 @@ class TestZeroInflationConditionals:
         spec = ModelSpec("zinb", Hyperparams(k_max=3), pi_prior=self.PI_PRIOR)
         rng = np.random.default_rng(17)
         pis, ws = [], []
-        table = current_table(state, data)
+        shared = sweep_shared(state, data)
         for _ in range(self.DRAWS):
-            pi, w = update_zero_inflation(copy.deepcopy(state), data, spec, table, rng)
+            pi, w = update_zero_inflation(copy.deepcopy(state), data, spec, *shared, rng)
             pis.append(pi)
             ws.append(w)
         return data, state, np.array(pis), np.array(ws)
@@ -594,25 +598,24 @@ class TestZeroInflationConditionals:
             assert stats.kstest(u[:, k], "uniform").pvalue > 1e-3
 
 
+def _truth_data(truth, n):
+    """n rows drawn from the two-component truth at seed 8."""
+    return generate_synthetic(truth["c"], truth["beta"], truth["psi"], n, truth["covariates"],
+                              seed=8)[0]
+
+
 class TestRunChain:
     CFG = SamplerConfig(iterations=300, burn_in=150, chains=1, master_seed=42)
 
     def test_deterministic(self, two_component_truth):
-        t = two_component_truth
-        data, _ = generate_synthetic(t["c"], t["beta"], t["psi"], 200,
-                                     t["covariates"], seed=8)
+        data = _truth_data(two_component_truth, 200)
         spec = ModelSpec("nb", Hyperparams(k_max=4))
         a = run_chain(spec, data, self.CFG, chain_id=0)
         b = run_chain(spec, data, self.CFG, chain_id=0)
-        np.testing.assert_array_equal(a.c, b.c)
-        np.testing.assert_array_equal(a.beta, b.beta)
-        np.testing.assert_array_equal(a.psi, b.psi)
-        np.testing.assert_array_equal(a.counts, b.counts)
+        np.testing.assert_equal(vars(a), vars(b))
 
     def test_trace_length_and_validity(self, two_component_truth):
-        t = two_component_truth
-        data, _ = generate_synthetic(t["c"], t["beta"], t["psi"], 150,
-                                     t["covariates"], seed=8)
+        data = _truth_data(two_component_truth, 150)
         spec = ModelSpec("nb", Hyperparams(k_max=3))
         cfg = SamplerConfig(iterations=220, burn_in=100, thin=3, chains=1,
                             master_seed=1)
@@ -637,9 +640,7 @@ class TestRunChain:
             assert abs(samples.mean() - beta_true[0, d]) < 2 * samples.std(ddof=1) + 0.02
 
     def test_acceptance_rates_in_band(self, two_component_truth):
-        t = two_component_truth
-        data, _ = generate_synthetic(t["c"], t["beta"], t["psi"], 500,
-                                     t["covariates"], seed=8)
+        data = _truth_data(two_component_truth, 500)
         spec = ModelSpec("nb", Hyperparams(k_max=3))
         cfg = SamplerConfig(iterations=1600, burn_in=800, chains=1, master_seed=2)
         trace = run_chain(spec, data, cfg, chain_id=0)
@@ -650,23 +651,26 @@ class TestRunChain:
             assert 0.15 < trace.accept_rates["psi"][k] < 0.6
 
     def test_one_current_psi_table_per_sweep(self, two_component_truth, monkeypatch):
-        # run_chain builds the current psi's (K, U) table once and the psi
-        # step builds the proposal's: 2 K (U + 1) ln Gamma cells per sweep.
-        t = two_component_truth
-        data, _ = generate_synthetic(t["c"], t["beta"], t["psi"], 200,
-                                     t["covariates"], seed=8)
+        # sweep builds the current psi's (K, U) table once and the psi step
+        # builds the proposal's: 2 K (U + 1) ln Gamma cells per sweep.
+        data = _truth_data(two_component_truth, 200)
         k = 4
-        cells = []
-        table = sampler._nb_table
-
-        def counting(y, log_gamma_y1, psi):
-            cells.append(np.size(psi) * (np.size(y) + 1))
-            return table(y, log_gamma_y1, psi)
-
-        monkeypatch.setattr(sampler, "_nb_table", counting)
+        calls = _spy(monkeypatch, "_nb_table")
         cfg = SamplerConfig(iterations=20, burn_in=10, chains=1, master_seed=42)
         run_chain(ModelSpec("nb", Hyperparams(k_max=k)), data, cfg, chain_id=0)
-        assert sum(cells) == 20 * 2 * k * (data.y_unique.size + 1)
+        cells = sum(np.size(psi) * (np.size(y) + 1) for (y, _, psi), _ in calls)
+        assert cells == 20 * 2 * k * (data.y_unique.size + 1)
+
+    def test_runs_one_sweep_per_iteration_and_stores_its_counts(self, two_component_truth,
+                                                                monkeypatch):
+        # The sweep criterion 4 checks must be the one the chain runs.
+        data = _truth_data(two_component_truth, 200)
+        calls = _spy(monkeypatch, "sweep")
+        cfg = SamplerConfig(iterations=20, burn_in=10, thin=2, chains=1, master_seed=42)
+        trace = run_chain(ModelSpec("nb", Hyperparams(k_max=4)), data, cfg, chain_id=0)
+        assert len(calls) == 20
+        # Sweeps 12, 14, ..., 20 are stored.
+        np.testing.assert_array_equal(trace.counts, [counts for _, (_, counts) in calls[11::2]])
 
     def test_zinb_states_valid(self):
         data, _ = generate_synthetic([1.0], [[math.log(6.0)]], [4.0], 300, [],
@@ -687,12 +691,8 @@ class TestOccupancyWeightedRate:
         assert _occupancy_weighted_rate(rates, np.array([50.0, 0.0])) == pytest.approx(0.3)
 
     def test_run_chain_weights_by_stored_counts(self, two_component_truth):
-        t = two_component_truth
-        data, _ = generate_synthetic(t["c"], t["beta"], t["psi"], 200,
-                                     t["covariates"], seed=8)
-        spec = ModelSpec("nb", Hyperparams(k_max=4))
-        cfg = SamplerConfig(iterations=300, burn_in=150, chains=1, master_seed=42)
-        trace = run_chain(spec, data, cfg, chain_id=0)
+        data = _truth_data(two_component_truth, 200)
+        trace = run_chain(ModelSpec("nb", Hyperparams(k_max=4)), data, TestRunChain.CFG, 0)
         mean_counts = trace.counts.mean(axis=0)
         for key in ("beta", "psi"):
             assert trace.accept_rates[f"{key}_weighted"] == _occupancy_weighted_rate(
@@ -700,27 +700,30 @@ class TestOccupancyWeightedRate:
 
 
 class TestRunChains:
+    SPEC = ModelSpec("nb", Hyperparams(k_max=3))
+    CFG = SamplerConfig(iterations=200, burn_in=100, chains=3, master_seed=7)
+
     def test_parallel_matches_sequential(self, two_component_truth):
-        t = two_component_truth
-        data, _ = generate_synthetic(t["c"], t["beta"], t["psi"], 150,
-                                     t["covariates"], seed=8)
-        spec = ModelSpec("nb", Hyperparams(k_max=3))
-        cfg = SamplerConfig(iterations=200, burn_in=100, chains=3, master_seed=7)
-        par = run_chains(spec, data, cfg, parallel=True)
-        seq = run_chains(spec, data, cfg, parallel=False)
+        data = _truth_data(two_component_truth, 150)
+        par = run_chains(self.SPEC, data, self.CFG, parallel=True)
+        seq = run_chains(self.SPEC, data, self.CFG, parallel=False)
         assert len(par) == len(seq) == 3
-        for a, b in zip(par, seq):
-            assert a.chain_id == b.chain_id
-            np.testing.assert_array_equal(a.c, b.c)
-            np.testing.assert_array_equal(a.beta, b.beta)
-            np.testing.assert_array_equal(a.psi, b.psi)
+        np.testing.assert_equal([vars(t) for t in par], [vars(t) for t in seq])
+
+    def test_refused_subprocesses_run_the_chains_in_this_process(self, two_component_truth,
+                                                                 monkeypatch):
+        def refuse(max_workers):
+            raise OSError("subprocesses are not permitted here")
+
+        monkeypatch.setattr(sampler, "ProcessPoolExecutor", refuse)
+        data = _truth_data(two_component_truth, 150)
+        fallback = run_chains(self.SPEC, data, self.CFG, parallel=True)
+        seq = run_chains(self.SPEC, data, self.CFG, parallel=False)
+        np.testing.assert_equal([vars(t) for t in fallback], [vars(t) for t in seq])
 
     def test_single_chain_matches_run_chain(self, two_component_truth):
-        t = two_component_truth
-        data, _ = generate_synthetic(t["c"], t["beta"], t["psi"], 150,
-                                     t["covariates"], seed=8)
-        spec = ModelSpec("nb", Hyperparams(k_max=3))
+        data = _truth_data(two_component_truth, 150)
         cfg = SamplerConfig(iterations=200, burn_in=100, chains=1, master_seed=7)
-        (via_driver,) = run_chains(spec, data, cfg)
-        direct = run_chain(spec, data, cfg, chain_id=0)
+        (via_driver,) = run_chains(self.SPEC, data, cfg)
+        direct = run_chain(self.SPEC, data, cfg, chain_id=0)
         np.testing.assert_array_equal(via_driver.beta, direct.beta)
