@@ -257,6 +257,9 @@ def ingest(path: str, categorical: dict | None = None, outcome: str = "y") -> Da
         if col not in header or col == outcome:
             raise DataError(f"{path}: categorical column {col!r} "
                             + ("is the outcome column" if col == outcome else "not in header"))
+        # report writes a file named after the column, crosstab_<column>.csv.
+        if {os.sep, os.altsep} & set(col):
+            raise DataError(f"{path}: categorical column {col!r} holds a path separator")
     if not rows:
         raise DataError(f"{path}: no data rows")
     y_idx = header.index(outcome)
@@ -459,8 +462,8 @@ def _write_tables(out_dir, summaries, column_names, filenames):
 def _write_fit_outputs(out_dir, data, spec, sampler_cfg, settings, relabeled,
                        summaries, assignments, rhats, reference_x):
     report_inputs = ["assignments.csv", "run_meta.json"]
-    for trace in relabeled:
-        report_inputs.append(f"chain_{trace.chain_id}.csv")
+    for i, trace in enumerate(relabeled):
+        report_inputs.append(f"chain_{i}.csv")
         traceio.save_trace(trace, os.path.join(out_dir, report_inputs[-1]))
 
     _write_tables(out_dir, summaries, data.column_names, FIT_TABLES)
@@ -542,10 +545,10 @@ def _summary_text(data, spec, sampler_cfg, summaries, rhats, relabeled):
     lines.append("")
     lines.append("acceptance rates after adaptation "
                  "(per chain, weighted by component row counts)")
-    for trace in relabeled:
+    for i, trace in enumerate(relabeled):
         rb = _sig6(trace.accept_rates["beta_weighted"])
         rp = _sig6(trace.accept_rates["psi_weighted"])
-        lines.append(f"  chain {trace.chain_id}: beta {rb}  psi {rp}")
+        lines.append(f"  chain {i}: beta {rb}  psi {rp}")
     lines.append("")
     return "\n".join(lines) + "\n"
 
@@ -620,7 +623,7 @@ def cmd_report(args) -> int:
     for cid in range(_json_field(meta, "run_meta.json", REPORT_META_FIELDS, "sampler.chains")):
         name = f"chain_{cid}.csv"
         arrays, columns = traceio.load_trace(verified_path(name))
-        traces.append(Trace(counts=None, chain_id=cid, column_names=columns, **arrays))
+        traces.append(Trace(counts=None, column_names=columns, **arrays))
         # K, the covariate names and the model fix a chain file's header.
         if len({(t.k, t.column_names, t.pi is None) for t in (traces[0], traces[-1])}) > 1:
             raise DataError(f"the header of {name} differs from that of chain_0.csv")

@@ -1,9 +1,10 @@
 """Post-processing of sampled traces.
 
 Relabeling resolves the label-switching symmetry by ordering components on
-their fitted mean at a reference covariate row; convergence is checked
-with split-chain R-hat and an autocorrelation-based effective sample size;
-interval summaries use highest-posterior-density intervals.
+their fitted mean at a reference covariate row; the CLI gates convergence
+on split-chain R-hat alone and prints no effective sample size (only
+perfbench and the tests call ``ess``); interval summaries use
+highest-posterior-density intervals.
 """
 from __future__ import annotations
 
@@ -142,36 +143,41 @@ def hpdi(samples, prob: float):
     return (float(lo), float(hi)) if x.ndim == 1 else (lo, hi)
 
 
-def _strided_indices(length: int, budget: int) -> np.ndarray:
-    if length <= budget:
-        return np.arange(length)
-    return np.linspace(0, length - 1, budget).round().astype(int)
+def _pooled(traces, budget: int | None = None):
+    """(c, beta, psi, pi) of the chains pooled in list order, pi None for nb;
+    given a budget, that many states strided evenly over them (all, if fewer)."""
+    n = sum(len(t) for t in traces)
+    idx = (slice(None) if budget is None or n <= budget
+           else np.linspace(0, n - 1, budget).round().astype(int))
+    return [None if getattr(traces[0], name) is None
+            else np.concatenate([getattr(t, name) for t in traces])[idx]
+            for name in ("c", "beta", "psi", "pi")]
+
+
+def _state_log_pmfs(data: Dataset, beta, psi, pi):
+    """Yield each state's K x data.n log pmf through the sweep's kernel, into
+    one work array: each must be used before the next is drawn."""
+    work = np.empty((2, beta.shape[1], data.n))
+    for s in range(len(beta)):
+        table = _nb_table(data.y_unique, data.log_gamma_y1, psi[s])
+        yield _log_pmf(data, table, beta[s], psi[s], None if pi is None else pi[s], work=work)
 
 
 def hard_assignments(traces, data: Dataset) -> np.ndarray:
     """Argmax component of the trace-averaged responsibilities per row.
 
-    Responsibilities are recomputed from (c, beta, psi[, pi]) on a strided
-    subset of stored states (HARD_ASSIGNMENT_STATES across all chains)
-    through the sweep's kernel, into one work array; ties go to the lower
-    index.  Invariant to the order chains are supplied in.
+    Responsibilities are recomputed from (c, beta, psi[, pi]) on
+    HARD_ASSIGNMENT_STATES states strided over the chains pooled in list
+    order, through the sweep's kernel; ties go to the lower index.
     """
-    traces = sorted(traces, key=lambda t: t.chain_id)
-    per_chain = max(1, HARD_ASSIGNMENT_STATES // max(len(traces), 1))
-    work = np.empty((2, traces[0].k, data.n))
-    total = np.zeros(work.shape[1:])
-    count = 0
-    for trace in traces:
-        for s in _strided_indices(len(trace), per_chain):
-            psi, pi = trace.psi[s], None if trace.pi is None else trace.pi[s]
-            table = _nb_table(data.y_unique, data.log_gamma_y1, psi)
-            r = _log_pmf(data, table, trace.beta[s], psi, pi, work=work)
-            with np.errstate(divide="ignore"):
-                _to_weights(r, np.log(trace.c[s]))
-            r /= r.sum(axis=0)
-            total += r
-            count += 1
-    total /= count
+    c, beta, psi, pi = _pooled(traces, HARD_ASSIGNMENT_STATES)
+    total = np.zeros((c.shape[1], data.n))
+    for s, r in enumerate(_state_log_pmfs(data, beta, psi, pi)):
+        with np.errstate(divide="ignore"):
+            _to_weights(r, np.log(c[s]))
+        r /= r.sum(axis=0)
+        total += r
+    total /= len(c)
     return np.argmax(total, axis=0)
 
 
@@ -194,39 +200,17 @@ class ComponentSummary:
     empirical_mode: int | None = None
 
 
-def _predictive_pmf(beta, psi, pi, reference_x, y_max: int) -> np.ndarray:
-    """(K, G) predictive pmf at reference_x over y in [0, y_max + 50].
-
-    Rows of the grid Dataset are (reference_x, y), so reference_x must lead
-    with the intercept's 1; each state goes through the sweep's kernel into
-    one work array, and the exponentiated pmfs are averaged.
-    """
-    y = np.arange(int(y_max) + 51)
-    x = np.asarray(reference_x, dtype=float)
-    grid = Dataset(y=y, X=np.broadcast_to(x, (y.size, x.size)), column_names=("",) * x.size)
-    work = np.empty((2, beta.shape[1], y.size))
-    total = np.zeros(work.shape[1:])
-    for s in range(len(beta)):
-        table = _nb_table(grid.y_unique, grid.log_gamma_y1, psi[s])
-        log_pmf = _log_pmf(grid, table, beta[s], psi[s], None if pi is None else pi[s], work=work)
-        total += np.exp(log_pmf, out=log_pmf)
-    return total / len(beta)
-
-
 def component_summary(traces, y_max: int, reference_x, occupancy_threshold: float):
     """Per-component posterior summaries from pooled relabeled traces.
 
-    Chains are pooled in chain-id order.  Prevalence is the posterior mean
+    Chains are pooled in list order.  Prevalence is the posterior mean
     weight; the IRR point estimate is the posterior mean of exp(beta) (not
     exp of the posterior mean); the predictive pmf at reference_x over y in
     [0, y_max + 50] averages PMF_STATES strided states, and the count mode
     scans it.  empirical_mode is left for callers that hold the data.
     """
-    traces = sorted(traces, key=lambda t: t.chain_id)
-    c_all = np.concatenate([t.c for t in traces])          # (S, K)
-    beta_all = np.concatenate([t.beta for t in traces])    # (S, K, D)
-    psi_all = np.concatenate([t.psi for t in traces])
-    pi_all = None if traces[0].pi is None else np.concatenate([t.pi for t in traces])
+    c_all, beta_all, _, _ = _pooled(traces)                 # (S, K), (S, K, D)
+    _, beta, psi, pi = _pooled(traces, PMF_STATES)
 
     # One contiguous row per component: numpy sums each pairwise, as it does a
     # 1-D series, where a mean over axis 0 would add the states one by one.
@@ -235,12 +219,15 @@ def component_summary(traces, y_max: int, reference_x, occupancy_threshold: floa
     irr = np.exp(beta_all)
     irr_mean = irr.mean(axis=0)                             # (K, D)
     irr_hpdi = np.stack(hpdi(irr, HPDI_PROB), axis=-1)      # (K, D, 2)
-    idx = _strided_indices(len(c_all), PMF_STATES)
-    pmf = _predictive_pmf(beta_all[idx], psi_all[idx],
-                          None if pi_all is None else pi_all[idx], reference_x, y_max)
+    # The pmf grid is one Dataset of (reference_x, y) rows, so reference_x
+    # must lead with the intercept's 1.
+    y = np.arange(int(y_max) + 51)
+    x = np.asarray(reference_x, dtype=float)
+    grid = Dataset(y=y, X=np.broadcast_to(x, (y.size, x.size)), column_names=("",) * x.size)
+    pmf = sum(np.exp(log_pmf) for log_pmf in _state_log_pmfs(grid, beta, psi, pi)) / len(beta)
     # Zero-inflated variant: report the count mode with the zero mode
     # omitted, since the point mass at zero would otherwise swamp it.
-    mode = np.argmax(pmf[:, 1:], axis=1) + 1 if pi_all is not None else np.argmax(pmf, axis=1)
+    mode = np.argmax(pmf[:, 1:], axis=1) + 1 if pi is not None else np.argmax(pmf, axis=1)
     summaries = [
         ComponentSummary(
             index=j,

@@ -83,7 +83,6 @@ class Trace:
     counts: np.ndarray | None     # (S, K) rows per component; None if read from disk
     pi: np.ndarray | None         # (S, K) for zinb, else None
     accept_rates: dict = field(default_factory=dict)
-    chain_id: int = 0
     column_names: tuple = ()
 
     def __len__(self) -> int:
@@ -298,16 +297,14 @@ def update_zero_inflation(state: ParamState, data: Dataset, spec: ModelSpec, cou
     """Draw structural-zero indicators w and per-component pi, in place (zinb).
 
     counts is the rows per component, table the current psi's ``_nb_table``.
-    Whenever zero rows exist, ``data.y_unique[0]`` is 0, so its column 0 is
-    ln NB(0)'s psi-only part.
     """
     a, b = spec.pi_prior
     w = np.zeros(data.n, dtype=np.int8)
     zero_idx = np.flatnonzero(data.zero_mask)
     if zero_idx.size:
         zk = state.z[zero_idx]
-        eta = _linear_predictor(state.beta, data.X[zero_idx], zk)
-        log_nb0 = table[:, 0].take(zk) + _nb_eta_terms(0.0, eta, state.psi[zk])
+        log_nb = _log_pmf(data, table, state.beta, state.psi, None, zero_idx)
+        log_nb0 = log_nb[zk, np.arange(zero_idx.size)]
         pi_z = state.pi[zk]
         p1 = pi_z
         p0 = (1.0 - pi_z) * np.exp(log_nb0)
@@ -435,14 +432,13 @@ def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
         accept_rates={"beta": rate_beta, "psi": rate_psi,
                       "beta_weighted": _occupancy_weighted_rate(rate_beta, mean_counts),
                       "psi_weighted": _occupancy_weighted_rate(rate_psi, mean_counts)},
-        chain_id=chain_id,
         column_names=data.column_names,
     )
 
 
 def run_chains(spec: ModelSpec, data: Dataset, config: SamplerConfig,
                parallel: bool = True) -> list[Trace]:
-    """Run all configured chains; output is identical to sequential runs."""
+    """Run all configured chains; item i is chain i, identical to a sequential run."""
     chain_ids = range(config.chains)
     if parallel and config.chains > 1:
         workers = min(config.chains, os.cpu_count() or 1)

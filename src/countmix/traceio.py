@@ -87,8 +87,9 @@ def load_trace(path: str):
     """Read a persisted chain back into arrays keyed c/beta/psi/pi.
 
     Returns (arrays, column_names); beta has shape (S, K, D).  Raises
-    DataError when the header is not one ``save_trace`` writes or a row
-    does not hold one number per column.
+    DataError when the header is not one ``save_trace`` writes, a row does
+    not hold one number per column, or a state holds what no fit stores: a
+    non-finite value, a c[j] or pi[j] outside [0, 1], or a psi[j] <= 0.
     """
     with reading(path) as fh:
         header = next(csv.reader(fh), [])
@@ -106,6 +107,10 @@ def load_trace(path: str):
         raise DataError(f"malformed trace file {path}: {values.shape[1]} "
                         f"values per row, header names {len(header)}")
     c, beta, psi, pi = np.split(values, [k, k * (d + 1), k * (d + 2)], axis=1)
+    unit = np.hstack([c, pi])                       # pi has no columns for nb
+    if not (np.isfinite(values).all() and (psi > 0).all() and ((unit >= 0) & (unit <= 1)).all()):
+        raise DataError(f"{path}: a value is non-finite, a c[j] or pi[j] lies outside [0, 1], "
+                        "or a psi[j] is <= 0")
     return {"c": c, "beta": beta.reshape(len(values), k, d), "psi": psi,
             "pi": pi if zinb else None}, cols
 

@@ -379,7 +379,6 @@ def test_criterion_7_label_switching(headline_fit):
         psi=np.take_along_axis(base.psi, perms, axis=1),
         counts=np.take_along_axis(base.counts, perms, axis=1),
         pi=None,
-        chain_id=base.chain_id,
         column_names=base.column_names,
     )
     (back,) = relabel([scrambled], reference_x=data.X.mean(axis=0), weight_floor=0.01)

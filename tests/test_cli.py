@@ -213,6 +213,19 @@ class TestIngest:
         assert "categorical column 'y' is the outcome column" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "f")
 
+    def test_path_separator_in_categorical_column(self, tmp_path, capsys):
+        # report names a file crosstab_<column>.csv: a column 'site/ward' once
+        # let the fit run, and report then failed to open crosstab_site/ward.csv.
+        name = f"site{os.sep}ward"
+        path = _write(tmp_path / "d.csv", f"y,{name}\n3,north\n2,south\n1,north\n")
+        message = f"categorical column {name!r} holds a path separator"
+        with pytest.raises(DataError, match=re.escape(message)):
+            ingest(path, categorical={name: ("north", None)})
+        assert run(["fit", "--input", path, "--categorical", f"{name}=north",
+                    "--out", str(tmp_path / "f")] + FIT_FLAGS) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "f")
+
     def test_missing_outcome_column(self, tmp_path):
         path = _write(tmp_path / "d.csv", "count,x\n3,0.1\n")
         with pytest.raises(DataError, match="outcome column"):
@@ -360,7 +373,6 @@ class TestTraceIO:
             psi=np.exp(gen.normal(0, 1, size=(s, k))),
             counts=None,
             pi=gen.uniform(0, 1, size=(s, k)) if zinb else None,
-            chain_id=0,
             column_names=("intercept", "x1"),
         )
 
@@ -378,6 +390,18 @@ class TestTraceIO:
             np.testing.assert_array_equal(arrays["pi"], trace.pi)
         else:
             assert arrays["pi"] is None
+
+    @pytest.mark.parametrize("name,index,value", [
+        ("c", (0, 1), 1.5), ("c", (3, 0), -0.1), ("pi", (2, 2), 1.0001),
+        ("pi", (0, 0), np.nan), ("psi", (1, 0), 0.0), ("beta", (4, 1, 0), -np.inf),
+    ], ids=["c-above-1", "c-negative", "pi-above-1", "pi-nan", "psi-zero", "beta-inf"])
+    def test_a_value_no_fit_stores_is_a_data_error(self, tmp_path, name, index, value):
+        trace = self._trace(zinb=True)
+        getattr(trace, name)[index] = value
+        path = str(tmp_path / "chain_0.csv")
+        traceio.save_trace(trace, path)
+        with pytest.raises(DataError, match=r"chain_0\.csv: a value is non-finite"):
+            traceio.load_trace(path)
 
     def test_checksums(self, tmp_path):
         trace = self._trace()
@@ -1007,6 +1031,33 @@ class TestReport:
         assert run(["report", "--traces", broken]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "chain_1.csv" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("column,value,states", [
+        ("psi[0]", "-1.0", "every"), ("c[0]", "inf", "one"), ("c[1]", "1.5", "one"),
+        ("beta[1].intercept", "nan", "one"),
+    ], ids=["psi-negative", "c-inf", "c-above-1", "beta-nan"])
+    def test_chain_value_no_fit_stores_exit_code(self, small_fit, tmp_path, capsys,
+                                                 column, value, states):
+        # Under a rewritten manifest these once gave exit 0: a psi[0] of -1
+        # in every state wrote nan pmf rows, an inf c an inf prevalence.
+        _, fit_dir = small_fit
+        broken = str(tmp_path / "broken")
+        shutil.copytree(fit_dir, broken)
+        path = os.path.join(broken, "chain_0.csv")
+        with open(path) as fh:
+            lines = fh.readlines()
+        j = lines[0].rstrip("\n").split(",").index(column)
+        for i in range(1, len(lines) if states == "every" else 2):
+            cells = lines[i].rstrip("\n").split(",")
+            cells[j] = value
+            lines[i] = ",".join(cells) + "\n"
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        _rewrite_manifest(broken)
+        capsys.readouterr()
+        assert run(["report", "--traces", broken]) == EXIT_INPUT
+        assert "chain_0.csv: a value is non-finite" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(broken, "pmf_table.csv"))
 
     def test_names_with_commas_and_quotes(self, tmp_path):
         gen = np.random.default_rng(21)

@@ -28,7 +28,7 @@ from countmix.sampler import SamplerConfig, Trace, run_chain
 from oracles import log_pmf_matrix, negbin_log_pmf
 
 
-def _ordered_trace(rng, s=60, k=3, d=2, n=25, chain_id=0):
+def _ordered_trace(rng, s=60, k=3, d=2, n=25):
     """Trace whose components are already ascending in mu at x = (1, 0)."""
     intercepts = np.array([0.5, 1.5, 2.5])
     beta = np.empty((s, k, d))
@@ -38,7 +38,7 @@ def _ordered_trace(rng, s=60, k=3, d=2, n=25, chain_id=0):
     psi = np.exp(rng.normal(0, 0.2, size=(s, k)))
     z = rng.integers(0, k, size=(s, n))
     return Trace(c=c, beta=beta, psi=psi, counts=_counts(z, k), pi=None,
-                 chain_id=chain_id, column_names=("intercept", "x1"))
+                 column_names=("intercept", "x1"))
 
 
 def _counts(z, k):
@@ -51,7 +51,7 @@ def _reversed(trace):
     return Trace(
         c=trace.c[:, ::-1].copy(), beta=trace.beta[:, ::-1].copy(),
         psi=trace.psi[:, ::-1].copy(), counts=trace.counts[:, ::-1].copy(),
-        pi=None, chain_id=0, column_names=trace.column_names)
+        pi=None, column_names=trace.column_names)
 
 
 REF_X = np.array([1.0, 0.0])
@@ -76,8 +76,7 @@ class TestRelabel:
         perm = np.array([0, 2, 1])
         swapped = Trace(
             c=trace.c[:, perm], beta=trace.beta[:, perm], psi=trace.psi[:, perm],
-            counts=trace.counts[:, perm], pi=None,
-            chain_id=0, column_names=trace.column_names)
+            counts=trace.counts[:, perm], pi=None, column_names=trace.column_names)
         (rel,) = relabel([swapped], reference_x=REF_X, weight_floor=0.0)
         np.testing.assert_array_equal(rel.c, trace.c)
         np.testing.assert_array_equal(rel.beta, trace.beta)
@@ -158,7 +157,7 @@ class TestRhat:
         assert rhat([jump, jump]) == math.inf
 
     def test_stacked_trailing_axes(self, rng):
-        traces = [_ordered_trace(rng, chain_id=i) for i in range(3)]
+        traces = [_ordered_trace(rng) for _ in range(3)]
         beta = np.stack([t.beta for t in traces])            # (C, S, K, D)
         beta[:, :, 2, 1] = 0.25                               # one constant column
         values = rhat(beta)
@@ -292,19 +291,13 @@ class TestHardAssignments:
         agreement = np.mean(assign == z_true)
         assert agreement >= 0.99
 
-    def test_chain_order_invariance(self, separated_fit):
-        data, _, spec, rel = separated_fit
-        a = hard_assignments(rel, data)
-        b = hard_assignments(list(reversed(rel)), data)
-        np.testing.assert_array_equal(a, b)
-
     def test_tie_goes_to_lower_index(self, rng):
         # Two identical components: every responsibility is exactly 0.5.
         data = Dataset(y=[4, 7], X=np.ones((2, 1)), column_names=("intercept",))
         s = 30
         beta = np.full((s, 2, 1), 1.5)
         trace = Trace(c=np.full((s, 2), 0.5), beta=beta, psi=np.full((s, 2), 2.0),
-                      counts=None, pi=None, chain_id=0)
+                      counts=None, pi=None)
         assign = hard_assignments([trace], data)
         np.testing.assert_array_equal(assign, [0, 0])
 
@@ -312,7 +305,8 @@ class TestHardAssignments:
     @pytest.mark.parametrize("zinb", [False, True], ids=["nb", "zinb"])
     def test_matches_the_term_by_term_responsibilities(self, zinb):
         # Argmax of the oracle's normalised c_k f_k(y_n), averaged over the
-        # same strided states: HARD_ASSIGNMENT_STATES split evenly over chains.
+        # same HARD_ASSIGNMENT_STATES states, strided over the chains pooled
+        # in list order.
         gen = np.random.default_rng(11)
         n, s, k = 300, 350, 4
         x1 = gen.standard_normal(n)
@@ -327,16 +321,15 @@ class TestHardAssignments:
                         beta=centre + gen.normal(0.0, 0.6, size=(s, k, 2)),
                         psi=np.exp(gen.normal(1.5, 0.5, size=(s, k))), counts=None,
                         pi=np.clip(pi_centre + gen.normal(0.0, 0.05, size=(s, k)), 0.0, 1.0)
-                        if zinb else None,
-                        chain_id=cid) for cid in (1, 0)]
+                        if zinb else None) for _ in range(2)]
+        c, beta, psi = (np.concatenate([getattr(t, name) for t in traces])
+                        for name in ("c", "beta", "psi"))
+        pi = np.concatenate([t.pi for t in traces]) if zinb else None
         total = np.zeros((n, k))
-        per_chain = HARD_ASSIGNMENT_STATES // 2
-        for t in (traces[1], traces[0]):
-            for i in np.linspace(0, s - 1, per_chain).round().astype(int):
-                log_r = log_pmf_matrix(data, t.beta[i], t.psi[i],
-                                       t.pi[i] if zinb else None) + np.log(t.c[i])
-                r = np.exp(log_r - log_r.max(axis=1, keepdims=True))
-                total += r / r.sum(axis=1, keepdims=True)
+        for i in np.linspace(0, 2 * s - 1, HARD_ASSIGNMENT_STATES).round().astype(int):
+            log_r = log_pmf_matrix(data, beta[i], psi[i], pi[i] if zinb else None) + np.log(c[i])
+            r = np.exp(log_r - log_r.max(axis=1, keepdims=True))
+            total += r / r.sum(axis=1, keepdims=True)
         expected = np.argmax(total, axis=1)
         top_two = np.sort(total, axis=1)[:, -2:]
         assert np.all(top_two[:, 1] - top_two[:, 0] > 1e-9)   # no rounding-level ties
@@ -349,7 +342,7 @@ class TestComponentSummary:
         s = 40
         trace = Trace(c=np.tile([0.6, 0.4], (s, 1)),
                       beta=np.zeros((s, 2, 1)), psi=np.ones((s, 2)),
-                      counts=None, pi=None, chain_id=0)
+                      counts=None, pi=None)
         summaries = component_summary([trace], y_max=7, reference_x=np.ones(1),
                                       occupancy_threshold=0.01)
         for summ in summaries:
@@ -384,14 +377,14 @@ class TestComponentSummary:
         traces = [Trace(c=gen.dirichlet(np.ones(k), size=s),
                         beta=gen.normal([2.0, 0.3, -0.2], 0.6, size=(s, k, d)),
                         psi=np.exp(gen.normal(1.0, 1.5, size=(s, k))), counts=None,
-                        pi=gen.uniform(0.0, 0.5, size=(s, k)) if zinb else None,
-                        chain_id=cid) for cid in (1, 0)]
+                        pi=gen.uniform(0.0, 0.5, size=(s, k)) if zinb else None)
+                  for _ in range(2)]
         x = np.array([1.0, 0.4, -0.7])
         summaries = component_summary(traces, y_max=y_max, reference_x=x,
                                       occupancy_threshold=0.01)
-        beta, psi = (np.concatenate([traces[1].beta, traces[0].beta]),
-                     np.concatenate([traces[1].psi, traces[0].psi]))
-        pi = np.concatenate([traces[1].pi, traces[0].pi]) if zinb else None
+        beta, psi = (np.concatenate([t.beta for t in traces]),
+                     np.concatenate([t.psi for t in traces]))
+        pi = np.concatenate([t.pi for t in traces]) if zinb else None
         y = np.arange(y_max + 51)
         expected = np.zeros((k, y.size))
         idx = np.linspace(0, 2 * s - 1, 200).round().astype(int)
@@ -409,7 +402,7 @@ class TestComponentSummary:
         s = 40
         trace = Trace(c=np.tile([0.5, 0.5], (s, 1)),
                       beta=np.zeros((s, 2, 1)), psi=np.ones((s, 2)),
-                      counts=None, pi=None, chain_id=0)
+                      counts=None, pi=None)
         with pytest.raises(DegenerateFitError):
             component_summary([trace], y_max=4, reference_x=np.ones(1),
                               occupancy_threshold=0.9)
