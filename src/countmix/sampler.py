@@ -8,9 +8,11 @@ Proposal scales adapt toward a target acceptance rate during burn-in only,
 so the stored chain is a valid Markov chain.
 
 ``sweep`` runs the blocks in this order and computes what they share once:
-the current psi's ``_nb_table`` and the rows per component, counted after
-the assignment draw.  The beta step hands its linear predictor and NB terms
-to the psi step.  ``run_chain`` adds adaptation, checks and storage.
+the rows per component, counted after the assignment draw.  The beta step
+hands its linear predictor and NB terms to the psi step.  The current psi's
+``_nb_table`` is carried from sweep to sweep: ``run_chain`` builds it once,
+and the psi step, the only block that changes psi, rewrites the rows it
+changes.  ``run_chain`` adds adaptation, checks and storage.
 """
 from __future__ import annotations
 
@@ -130,6 +132,17 @@ def _pick(cum: np.ndarray, total: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.count_nonzero(x >= cum, axis=0)
 
 
+def _cumsum_rows(w: np.ndarray) -> np.ndarray:
+    """np.cumsum(w, axis=0) in place, with the same sums in the same order.
+
+    numpy's accumulate down axis 0 costs about 25 ns per element in any
+    memory layout: 175 us at (4, 7118), against 15 us for these row adds.
+    """
+    for j in range(1, w.shape[0]):
+        w[j] += w[j - 1]
+    return w
+
+
 def update_assignments(state: ParamState, data: Dataset, table: np.ndarray,
                        rng: np.random.Generator, work: np.ndarray | None = None) -> np.ndarray:
     """Draw z_n ~ Categorical(r_n) for every observation, in place.
@@ -161,7 +174,7 @@ def update_assignments(state: ParamState, data: Dataset, table: np.ndarray,
     w = _log_pmf(data, table[occupied], state.beta[occupied], state.psi[occupied],
                  None if pi is None else pi[occupied], work=work)
     top = _to_weights(w, log_c[occupied], floor=log_c_env)
-    cum = np.cumsum(w, axis=0, out=work[1])
+    cum = _cumsum_rows(w)
     pick = _pick(cum, cum[-1] + np.exp(log_c_env - top), rng.random(data.n))
     z = np.flatnonzero(occupied).take(pick, mode="clip")
     rows = np.flatnonzero(pick == cum.shape[0])        # drawn into the envelope cell
@@ -174,7 +187,7 @@ def update_assignments(state: ParamState, data: Dataset, table: np.ndarray,
         with np.errstate(divide="ignore"):
             keep = np.log(u[0]) + log_c_env < row_top + np.log(w[~occupied].sum(axis=0))
         w[occupied[:, np.newaxis] & keep] = 0.0
-        cum_r = np.cumsum(w, axis=0)
+        cum_r = _cumsum_rows(w)
         z[rows] = _pick(cum_r, cum_r[-1], u[1])
     state.z = z
     return z
@@ -241,8 +254,8 @@ def update_coefficients(state: ParamState, data: Dataset, spec: ModelSpec, count
                                               minlength=k_max + 1)[:k_max]
         accept[:, d] = np.isfinite(ratio) & (log_u[:, d] < ratio)
         moved = accept[:, d].take(z)
-        np.copyto(eta, eta_new, where=moved)
-        np.copyto(cur, new, where=moved)
+        np.putmask(eta, moved, eta_new)
+        np.putmask(cur, moved, new)
     state.beta[accept] = proposed[accept]
     flags = accept.astype(float)
     empty = counts == 0
@@ -262,7 +275,10 @@ def update_precisions(state: ParamState, data: Dataset, spec: ModelSpec, counts:
     counts is the rows per component, table the current psi's ``_nb_table``,
     and eta and cur each row's linear predictor and ``_nb_eta_terms`` at the
     current state, as ``update_coefficients`` returns them; only the
-    proposal's table and row terms are built here.
+    proposal's table and row terms are built here.  Empty components take
+    their prior refresh as the proposal, and the rows of psi and table that
+    accept or are refreshed are rewritten in place, so table stays the
+    current psi's.
     """
     hyper = spec.hyper
     k_max = state.psi.shape[0]
@@ -274,9 +290,12 @@ def update_precisions(state: ParamState, data: Dataset, spec: ModelSpec, counts:
     log_psi = np.log(state.psi)
     prop = log_psi + scales * rng.standard_normal(k_max)
     log_u = np.log(rng.random(k_max))
+    empty = counts == 0
+    prop[empty] = rng.normal(hyper.a0, hyper.b0, size=int(empty.sum()))
     psi_new = np.exp(prop)
-    both = np.stack([table, _nb_table(data.y_unique, data.log_gamma_y1, psi_new)])
-    table_part = np.einsum("ku,iku->ik", y_counts.reshape(k_max, u_dim), both)
+    table_new = _nb_table(data.y_unique, data.log_gamma_y1, psi_new)
+    table_part = np.einsum("ku,iku->ik", y_counts.reshape(k_max, u_dim),
+                           np.stack([table, table_new]))
     new = _nb_eta_terms(data._yf, eta, psi_new.take(z))
     ll_diff = table_part[1] - table_part[0] + np.bincount(
         rows, weights=new - cur, minlength=k_max + 1)[:k_max]
@@ -284,11 +303,11 @@ def update_precisions(state: ParamState, data: Dataset, spec: ModelSpec, counts:
         (log_psi - hyper.a0) ** 2 - (prop - hyper.a0) ** 2
     )
     accept = np.isfinite(log_ratio) & (log_u < log_ratio)
-    state.psi[accept] = psi_new[accept]
     flags = accept.astype(float)
-    empty = counts == 0
-    state.psi[empty] = np.exp(rng.normal(hyper.a0, hyper.b0, size=int(empty.sum())))
     flags[empty] = np.nan
+    accept |= empty
+    state.psi[accept] = psi_new[accept]
+    table[accept] = table_new[accept]
     return flags
 
 
@@ -341,18 +360,19 @@ def _initial_state(data: Dataset, spec: ModelSpec, chain_id: int) -> ParamState:
     return state
 
 
-def sweep(state: ParamState, data: Dataset, spec: ModelSpec, scales: np.ndarray,
-          rng: np.random.Generator, work: np.ndarray | None = None):
+def sweep(state: ParamState, data: Dataset, spec: ModelSpec, table: np.ndarray,
+          scales: np.ndarray, rng: np.random.Generator, work: np.ndarray | None = None):
     """Update every block once, in place; returns (flags, counts).
 
-    The proposal scales and the acceptance flags are (K, D + 1): the beta
-    coordinates, then ln psi.  counts is the rows per component after the
-    assignment draw.  work is a (2, K, N) float array for temporaries.
+    table is the current psi's ``_nb_table`` over ``data.y_unique``.  psi
+    changes only in the last block, which keeps table current in place, so
+    one table serves this sweep and the next.  The proposal scales and the
+    acceptance flags are (K, D + 1): the beta coordinates, then ln psi.
+    counts is the rows per component after the assignment draw.  work is a
+    (2, K, N) float array for temporaries.
     """
     k, d = spec.hyper.k_max, data.d
     work = np.empty((2, k, data.n)) if work is None else work
-    # psi changes only in the last block, so one table serves the sweep.
-    table = _nb_table(data.y_unique, data.log_gamma_y1, state.psi)
     update_assignments(state, data, table, rng, work)
     counts = np.bincount(state.z, minlength=k)
     if spec.zero_inflated:
@@ -398,9 +418,10 @@ def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
 
     target = config.target_accept
     work = np.empty((2, k, data.n))
+    table = _nb_table(data.y_unique, data.log_gamma_y1, state.psi)
     s = 0
     for iteration in range(1, config.iterations + 1):
-        flags, counts = sweep(state, data, spec, np.exp(log_scale), rng, work)
+        flags, counts = sweep(state, data, spec, table, np.exp(log_scale), rng, work)
         if iteration <= config.burn_in:
             log_scale += np.where(np.isnan(flags), 0.0, (flags - target) * iteration ** -0.6)
             if iteration % 200 == 0:

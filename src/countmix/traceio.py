@@ -1,7 +1,8 @@
 """The text of every file countmix reads or writes, and persistence of sampled traces.
 
-Every file is UTF-8.  ``reading`` opens each file countmix reads, and any
-fault met while reading it is a ``DataError`` that names the file.
+Every file is UTF-8.  ``reading`` opens each file countmix reads, skipping a
+leading byte-order mark, and any fault met while reading it is a
+``DataError`` that names the file.
 ``write_csv`` writes every table: fields are quoted only where they hold a
 comma, a quote or a newline.  Each chain is one file in wide format: a
 header row of parameter names (``c[j]``, ``beta[j].<column>``, ``psi[j]``,
@@ -31,9 +32,10 @@ class DataError(Exception):
 
 @contextlib.contextmanager
 def reading(path: str):
-    """Open path as UTF-8 text; a fault met while reading it names the file."""
+    """Open path as UTF-8 text, without a leading byte-order mark; a fault met
+    while reading it names the file."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             yield fh
     except (OSError, UnicodeDecodeError, csv.Error, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
@@ -89,7 +91,8 @@ def load_trace(path: str):
     Returns (arrays, column_names); beta has shape (S, K, D).  Raises
     DataError when the header is not one ``save_trace`` writes, a row does
     not hold one number per column, or a state holds what no fit stores: a
-    non-finite value, a c[j] or pi[j] outside [0, 1], or a psi[j] <= 0.
+    non-finite value, a c[j] or pi[j] outside [0, 1], a psi[j] <= 0, or c[j]
+    whose sum is off 1 by more than 1e-9 (a fit's are off by rounding only).
     """
     with reading(path) as fh:
         header = next(csv.reader(fh), [])
@@ -111,6 +114,11 @@ def load_trace(path: str):
     if not (np.isfinite(values).all() and (psi > 0).all() and ((unit >= 0) & (unit <= 1)).all()):
         raise DataError(f"{path}: a value is non-finite, a c[j] or pi[j] lies outside [0, 1], "
                         "or a psi[j] is <= 0")
+    totals = c.sum(axis=1)
+    off = np.flatnonzero(np.abs(totals - 1.0) > 1e-9)
+    if off.size:
+        s = off[0]
+        raise DataError(f"{path}: the c[j] of state {s} sum to {float(totals[s])!r}, not 1")
     return {"c": c, "beta": beta.reshape(len(values), k, d), "psi": psi,
             "pi": pi if zinb else None}, cols
 

@@ -24,7 +24,8 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def current_table(state, data):
-    """The current psi's ``_nb_table``, which ``sampler.sweep`` builds once a sweep."""
+    """The current psi's ``_nb_table``, as ``sampler.run_chain`` builds it before its
+    first sweep and the psi step keeps it current in place."""
     return _nb_table(data.y_unique, data.log_gamma_y1, state.psi)
 
 

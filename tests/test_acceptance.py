@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import psi_step_inputs, record_criterion
+from conftest import current_table, psi_step_inputs, record_criterion
 from countmix.cli import (
     DEMO_TRUTH,
     DEMO_TRUTH_ZINB,
@@ -259,7 +259,9 @@ def _geweke_zscores(variant, seed):
     y = _geweke_generate_y(rng, state, X)
     successive = []
     for _ in range(m2):
-        sweep(state, Dataset(y=y, X=X, column_names=names), spec, np.full((k, 3), 0.5), rng)
+        # y changes every iteration, so each sweep gets a fresh table.
+        data = Dataset(y=y, X=X, column_names=names)
+        sweep(state, data, spec, current_table(state, data), np.full((k, 3), 0.5), rng)
         y = _geweke_generate_y(rng, state, X)
         successive.append(_geweke_scalars(state, y))
     successive = np.array(successive)

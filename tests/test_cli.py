@@ -161,6 +161,16 @@ class TestIngest:
         np.testing.assert_array_equal(data.categorical_raw["treatment"],
                                       ["none", "chemo", "radio", "chemo"])
 
+    @pytest.mark.parametrize("delim", [",", "\t"], ids=["comma", "tab"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, delim):
+        # Excel's "CSV UTF-8" format starts the file with one.
+        path = tmp_path / "d.csv"
+        path.write_bytes(f"\ufeffy{delim}x\n3{delim}1\n2{delim}0\n".encode())
+        data = ingest(str(path))
+        assert data.column_names == ("intercept", "x")
+        np.testing.assert_array_equal(data.y, [3, 2])
+        np.testing.assert_array_equal(data.X[:, 1], [1.0, 0.0])
+
     def test_tab_delimiter(self, tmp_path):
         path = _write(tmp_path / "d.tsv", "y\tx\n4\t0.5\n1\t-0.5\n")
         data = ingest(path)
@@ -401,6 +411,18 @@ class TestTraceIO:
         path = str(tmp_path / "chain_0.csv")
         traceio.save_trace(trace, path)
         with pytest.raises(DataError, match=r"chain_0\.csv: a value is non-finite"):
+            traceio.load_trace(path)
+
+    def test_weights_off_1_beyond_rounding_are_a_data_error(self, tmp_path):
+        # Every c[j] stays in [0, 1]; only state 4's sum moves off 1.
+        path = str(tmp_path / "chain_0.csv")
+        trace = self._trace()
+        trace.c[4] *= 1.0 + 1e-12
+        traceio.save_trace(trace, path)
+        traceio.load_trace(path)
+        trace.c[4] *= 0.9
+        traceio.save_trace(trace, path)
+        with pytest.raises(DataError, match=r"chain_0\.csv: the c\[j\] of state 4 sum to 0\.9"):
             traceio.load_trace(path)
 
     def test_checksums(self, tmp_path):
@@ -897,8 +919,9 @@ class TestReport:
         arrays, columns = traceio.load_trace(path)
         k = arrays["c"].shape[1] - (change == "components")
         d = len(columns) - (change == "covariates")
+        c = arrays["c"][:, :k] / arrays["c"][:, :k].sum(axis=1, keepdims=True)  # a fit's sum to 1
         traceio.save_trace(Trace(
-            c=arrays["c"][:, :k], beta=arrays["beta"][:, :k, :d], psi=arrays["psi"][:, :k],
+            c=c, beta=arrays["beta"][:, :k, :d], psi=arrays["psi"][:, :k],
             counts=None, pi=arrays["c"][:, :k] if change == "model" else None,
             column_names=columns[:d]), path)
         _rewrite_manifest(broken)
@@ -1032,14 +1055,18 @@ class TestReport:
         err = capsys.readouterr().err
         assert "chain_1.csv" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("column,value,states", [
-        ("psi[0]", "-1.0", "every"), ("c[0]", "inf", "one"), ("c[1]", "1.5", "one"),
-        ("beta[1].intercept", "nan", "one"),
-    ], ids=["psi-negative", "c-inf", "c-above-1", "beta-nan"])
+    @pytest.mark.parametrize("column,value,states,message", [
+        ("psi[0]", "-1.0", "every", "a value is non-finite"),
+        ("c[0]", "inf", "one", "a value is non-finite"),
+        ("c[1]", "1.5", "one", "a value is non-finite"),
+        ("beta[1].intercept", "nan", "one", "a value is non-finite"),
+        ("c[0]", "0.9", "every", "the c[j] of state 0 sum to"),
+    ], ids=["psi-negative", "c-inf", "c-above-1", "beta-nan", "c-sum-off-1"])
     def test_chain_value_no_fit_stores_exit_code(self, small_fit, tmp_path, capsys,
-                                                 column, value, states):
+                                                 column, value, states, message):
         # Under a rewritten manifest these once gave exit 0: a psi[0] of -1
-        # in every state wrote nan pmf rows, an inf c an inf prevalence.
+        # in every state wrote nan pmf rows, an inf c an inf prevalence, and
+        # a c[0] of 0.9 prevalences that summed to more than 1.
         _, fit_dir = small_fit
         broken = str(tmp_path / "broken")
         shutil.copytree(fit_dir, broken)
@@ -1056,7 +1083,7 @@ class TestReport:
         _rewrite_manifest(broken)
         capsys.readouterr()
         assert run(["report", "--traces", broken]) == EXIT_INPUT
-        assert "chain_0.csv: a value is non-finite" in capsys.readouterr().err
+        assert f"chain_0.csv: {message}" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(broken, "pmf_table.csv"))
 
     def test_names_with_commas_and_quotes(self, tmp_path):

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from countmix.model import (
@@ -13,6 +16,7 @@ from countmix.model import (
     LINPRED_CLAMP,
     ModelSpec,
     ParamState,
+    _nb_table,
     generate_synthetic,
 )
 from conftest import current_table, psi_step_inputs, sweep_shared
@@ -20,6 +24,7 @@ from countmix import sampler
 from countmix.sampler import (
     SamplerConfig,
     SamplerError,
+    _cumsum_rows,
     _occupancy_weighted_rate,
     _to_weights,
     run_chain,
@@ -224,6 +229,19 @@ class TestUpdateAssignments:
         state = _state_for(small_dataset, 3, beta=[[np.nan, 0.0], [1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(SamplerError):
             update_assignments(state, small_dataset, current_table(state, small_dataset), rng)
+
+
+class TestCumsumRows:
+    # Weights as the assignment draw holds them: in [0, 1] with exact zeros,
+    # (K_occ, N) for the occupied slots and (K, few rows) for the envelope.
+    @given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 40)),
+                  elements=st.one_of(st.just(0.0), st.floats(1e-300, 1.0))))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_numpy_cumsum_bit_for_bit(self, w):
+        expected = np.cumsum(w, axis=0)
+        out = _cumsum_rows(w)
+        assert out is w
+        np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
 
 
 class TestUpdateWeights:
@@ -651,15 +669,37 @@ class TestRunChain:
             assert 0.15 < trace.accept_rates["psi"][k] < 0.6
 
     def test_one_current_psi_table_per_sweep(self, two_component_truth, monkeypatch):
-        # sweep builds the current psi's (K, U) table once and the psi step
-        # builds the proposal's: 2 K (U + 1) ln Gamma cells per sweep.
+        # run_chain builds the current psi's (K, U) table once, and each
+        # sweep's psi step builds only the proposal's: K (U + 1) ln Gamma
+        # cells per sweep, and one table more.
         data = _truth_data(two_component_truth, 200)
         k = 4
         calls = _spy(monkeypatch, "_nb_table")
         cfg = SamplerConfig(iterations=20, burn_in=10, chains=1, master_seed=42)
         run_chain(ModelSpec("nb", Hyperparams(k_max=k)), data, cfg, chain_id=0)
         cells = sum(np.size(psi) * (np.size(y) + 1) for (y, _, psi), _ in calls)
-        assert cells == 20 * 2 * k * (data.y_unique.size + 1)
+        assert cells == (20 + 1) * k * (data.y_unique.size + 1)
+
+    @pytest.mark.parametrize("model", ["nb", "zinb"])
+    def test_carried_table_is_the_current_psis_after_every_sweep(self, two_component_truth,
+                                                                 model, monkeypatch):
+        # K_max = 6 over two true components leaves empty slots, whose psi
+        # the psi step refreshes from the prior; their table rows must follow.
+        data = _truth_data(two_component_truth, 200)
+        fn, current, refreshed = sampler.sweep, [], []
+
+        def checked(state, data, spec, table, *rest):
+            flags, counts = fn(state, data, spec, table, *rest)
+            current.append(np.array_equal(
+                table, _nb_table(data.y_unique, data.log_gamma_y1, state.psi)))
+            refreshed.append(np.count_nonzero(np.isnan(flags[:, -1])))
+            return flags, counts
+
+        monkeypatch.setattr(sampler, "sweep", checked)
+        cfg = SamplerConfig(iterations=30, burn_in=10, chains=1, master_seed=42)
+        run_chain(ModelSpec(model, Hyperparams(k_max=6)), data, cfg, chain_id=0)
+        assert len(current) == 30 and all(current)
+        assert sum(n > 0 for n in refreshed) > 10
 
     def test_runs_one_sweep_per_iteration_and_stores_its_counts(self, two_component_truth,
                                                                 monkeypatch):
