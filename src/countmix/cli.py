@@ -627,6 +627,8 @@ def cmd_report(args) -> int:
         # K, the covariate names and the model fix a chain file's header.
         if len({(t.k, t.column_names, t.pi is None) for t in (traces[0], traces[-1])}) > 1:
             raise DataError(f"the header of {name} differs from that of chain_0.csv")
+        if len(traces[-1]) != len(traces[0]):
+            raise DataError(f"{name} holds {len(traces[-1])} states, chain_0.csv {len(traces[0])}")
     column_names = traces[0].column_names
     y_max, reference_x, threshold = (
         _json_field(meta, "run_meta.json", REPORT_META_FIELDS, key, len(column_names))

@@ -159,7 +159,7 @@ def _state_log_pmfs(data: Dataset, beta, psi, pi):
     one work array: each must be used before the next is drawn."""
     work = np.empty((2, beta.shape[1], data.n))
     for s in range(len(beta)):
-        table = _nb_table(data.y_unique, data.log_gamma_y1, psi[s])
+        table = _nb_table(data, psi[s])
         yield _log_pmf(data, table, beta[s], psi[s], None if pi is None else pi[s], work=work)
 
 

@@ -119,19 +119,18 @@ class ParamState:
     w: np.ndarray | None = None   # (N,) structural-zero indicators
 
 
-def _nb_table(y, log_gamma_y1, psi) -> np.ndarray:
-    """The terms of ln NB(y | mu, psi) that involve no mean, per count in y.
+def _nb_table(data: Dataset, psi) -> np.ndarray:
+    """The terms of ln NB(y | mu, psi) that involve no mean, per unique count.
 
-    ln Gamma(y+psi) - ln Gamma(psi) - ln Gamma(y+1) + psi ln psi, of shape
-    psi.shape + y.shape, for a 1-D y and its ln Gamma(y+1).  With
-    ``_nb_eta_terms`` it is the NB log pmf; the sweep passes the unique
-    counts: ``_nb_table(data.y_unique, data.log_gamma_y1, psi)[...,
-    data.y_inverse] + _nb_eta_terms(y, eta, psi)``.
+    ln Gamma(y+psi) - ln Gamma(psi) - ln Gamma(y+1) + psi ln psi over
+    ``data.y_unique``, of shape psi.shape + data.y_unique.shape.  With
+    ``_nb_eta_terms`` it is the NB log pmf, read per row at data.y_inverse:
+    ``_nb_table(data, psi)[..., data.y_inverse] + _nb_eta_terms(y, eta, psi)``.
     """
     psi = np.asarray(psi, dtype=float)[..., np.newaxis]
     # One ln Gamma call: the appended y = 0 gives ln Gamma(psi) in the last column.
-    lg = _log_gamma_raw(np.append(y, 0.0) + psi)
-    return lg[..., :-1] - lg[..., -1:] - log_gamma_y1 + psi * np.log(psi)
+    lg = _log_gamma_raw(np.append(data.y_unique, 0.0) + psi)
+    return lg[..., :-1] - lg[..., -1:] - data.log_gamma_y1 + psi * np.log(psi)
 
 
 def _nb_eta_terms(yf, eta, psi, out=None, work=None) -> np.ndarray:

@@ -12,7 +12,9 @@ the rows per component, counted after the assignment draw.  The beta step
 hands its linear predictor and NB terms to the psi step.  The current psi's
 ``_nb_table`` is carried from sweep to sweep: ``run_chain`` builds it once,
 and the psi step, the only block that changes psi, rewrites the rows it
-changes.  ``run_chain`` adds adaptation, checks and storage.
+changes.  The Metropolis blocks return boolean acceptances and refresh
+empty components from the prior.  ``run_chain`` adds adaptation, checks
+and storage, and counts a component's steps only where it holds rows.
 """
 from __future__ import annotations
 
@@ -223,13 +225,13 @@ def update_coefficients(state: ParamState, data: Dataset, spec: ModelSpec, count
                         work: np.ndarray | None = None):
     """Random-walk Metropolis on beta, one coordinate at a time, in place.
 
-    Step d proposes coordinate d for every component at once.  Returns
-    (flags, eta, cur): per-block acceptance flags (1 accepted, 0 rejected,
-    NaN where the component was empty and beta was refreshed from the
-    prior), and each row's linear predictor and ``_nb_eta_terms`` at the
-    current psi, kept current through the steps, which the psi step takes
-    as they are.  counts is the rows per component; work, if given, is a
-    (K, N) float array for the product that forms eta.
+    Step d proposes coordinate d for every component at once; an empty
+    component's beta is then refreshed from the prior.  Returns (accept,
+    eta, cur): the (K, D) boolean acceptances, and each row's linear
+    predictor and ``_nb_eta_terms`` at the current psi, kept current through
+    the steps, which the psi step takes as they are.  counts is the rows per
+    component; work, if given, is a (K, N) float array for the product that
+    forms eta.
     """
     hyper = spec.hyper
     k_max, d_dim = state.beta.shape
@@ -257,11 +259,9 @@ def update_coefficients(state: ParamState, data: Dataset, spec: ModelSpec, count
         np.putmask(eta, moved, eta_new)
         np.putmask(cur, moved, new)
     state.beta[accept] = proposed[accept]
-    flags = accept.astype(float)
     empty = counts == 0
     state.beta[empty] = rng.normal(hyper.m0, hyper.s0, size=(int(empty.sum()), d_dim))
-    flags[empty] = np.nan
-    return flags, eta, cur
+    return accept, eta, cur
 
 
 def update_precisions(state: ParamState, data: Dataset, spec: ModelSpec, counts: np.ndarray,
@@ -270,45 +270,36 @@ def update_precisions(state: ParamState, data: Dataset, spec: ModelSpec, counts:
     """Random-walk Metropolis on log psi, all components at once, in place.
 
     The log-normal prior is expressed in ln psi (ln psi ~ N(a0, b0^2)), so
-    the symmetric proposal needs no Jacobian correction.  The psi-only
-    likelihood terms enter through per-(component, unique y) row counts.
-    counts is the rows per component, table the current psi's ``_nb_table``,
-    and eta and cur each row's linear predictor and ``_nb_eta_terms`` at the
-    current state, as ``update_coefficients`` returns them; only the
-    proposal's table and row terms are built here.  Empty components take
+    the symmetric proposal needs no Jacobian correction.  A row's change in
+    log-likelihood, that of its table entry (read at data.y_inverse) plus
+    that of its ``_nb_eta_terms``, is summed per component.  counts is the
+    rows per component, table the current psi's ``_nb_table``, and eta and
+    cur each row's linear predictor and ``_nb_eta_terms`` at the current
+    state, as ``update_coefficients`` returns them.  Empty components take
     their prior refresh as the proposal, and the rows of psi and table that
     accept or are refreshed are rewritten in place, so table stays the
-    current psi's.
+    current psi's.  Returns the (K,) boolean acceptances.
     """
     hyper = spec.hyper
     k_max = state.psi.shape[0]
     z = state.z
     rows = _likelihood_rows(state, k_max)
-    u_dim = data.y_unique.size
-    y_counts = np.bincount(rows * u_dim + data.y_inverse,
-                           minlength=(k_max + 1) * u_dim)[:k_max * u_dim]
     log_psi = np.log(state.psi)
     prop = log_psi + scales * rng.standard_normal(k_max)
     log_u = np.log(rng.random(k_max))
     empty = counts == 0
     prop[empty] = rng.normal(hyper.a0, hyper.b0, size=int(empty.sum()))
     psi_new = np.exp(prop)
-    table_new = _nb_table(data.y_unique, data.log_gamma_y1, psi_new)
-    table_part = np.einsum("ku,iku->ik", y_counts.reshape(k_max, u_dim),
-                           np.stack([table, table_new]))
+    table_new = _nb_table(data, psi_new)
     new = _nb_eta_terms(data._yf, eta, psi_new.take(z))
-    ll_diff = table_part[1] - table_part[0] + np.bincount(
-        rows, weights=new - cur, minlength=k_max + 1)[:k_max]
-    log_ratio = ll_diff + (0.5 / hyper.b0 ** 2) * (
-        (log_psi - hyper.a0) ** 2 - (prop - hyper.a0) ** 2
-    )
+    new += (table_new - table).take(z * data.y_unique.size + data.y_inverse)
+    log_ratio = (np.bincount(rows, weights=new - cur, minlength=k_max + 1)[:k_max]
+                 + (0.5 / hyper.b0 ** 2) * ((log_psi - hyper.a0) ** 2 - (prop - hyper.a0) ** 2))
     accept = np.isfinite(log_ratio) & (log_u < log_ratio)
-    flags = accept.astype(float)
-    flags[empty] = np.nan
-    accept |= empty
-    state.psi[accept] = psi_new[accept]
-    table[accept] = table_new[accept]
-    return flags
+    moved = accept | empty
+    state.psi[moved] = psi_new[moved]
+    table[moved] = table_new[moved]
+    return accept
 
 
 def update_zero_inflation(state: ParamState, data: Dataset, spec: ModelSpec, counts: np.ndarray,
@@ -367,9 +358,10 @@ def sweep(state: ParamState, data: Dataset, spec: ModelSpec, table: np.ndarray,
     table is the current psi's ``_nb_table`` over ``data.y_unique``.  psi
     changes only in the last block, which keeps table current in place, so
     one table serves this sweep and the next.  The proposal scales and the
-    acceptance flags are (K, D + 1): the beta coordinates, then ln psi.
-    counts is the rows per component after the assignment draw.  work is a
-    (2, K, N) float array for temporaries.
+    boolean acceptance flags are (K, D + 1): the beta coordinates, then ln
+    psi.  counts is the rows per component after the assignment draw; the
+    flags of a component with none are not trials.  work is a (2, K, N)
+    float array for temporaries.
     """
     k, d = spec.hyper.k_max, data.d
     work = np.empty((2, k, data.n)) if work is None else work
@@ -418,17 +410,18 @@ def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
 
     target = config.target_accept
     work = np.empty((2, k, data.n))
-    table = _nb_table(data.y_unique, data.log_gamma_y1, state.psi)
+    table = _nb_table(data, state.psi)
     s = 0
     for iteration in range(1, config.iterations + 1):
         flags, counts = sweep(state, data, spec, table, np.exp(log_scale), rng, work)
+        live = (counts > 0)[:, np.newaxis]
         if iteration <= config.burn_in:
-            log_scale += np.where(np.isnan(flags), 0.0, (flags - target) * iteration ** -0.6)
+            log_scale += np.where(live, (flags - target) * iteration ** -0.6, 0.0)
             if iteration % 200 == 0:
                 _check_finite(state, iteration, chain_id)
         else:
-            accepted += np.nan_to_num(flags)
-            trials += ~np.isnan(flags)
+            accepted += flags & live
+            trials += live
             if (iteration - config.burn_in) % config.thin == 0:
                 _check_finite(state, iteration, chain_id)
                 stored_c[s] = state.c
@@ -439,8 +432,7 @@ def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
                     stored_pi[s] = state.pi
                 s += 1
 
-    with np.errstate(invalid="ignore"):
-        rates = np.where(trials > 0, accepted / np.maximum(trials, 1), np.nan)
+    rates = np.where(trials > 0, accepted / np.maximum(trials, 1), np.nan)
     rate_beta, rate_psi = rates[:, :d], rates[:, d]
     # Weighted here, where the rates and the counts still share labels.
     mean_counts = stored_counts.mean(axis=0)

@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 
@@ -89,10 +90,11 @@ def load_trace(path: str):
     """Read a persisted chain back into arrays keyed c/beta/psi/pi.
 
     Returns (arrays, column_names); beta has shape (S, K, D).  Raises
-    DataError when the header is not one ``save_trace`` writes, a row does
-    not hold one number per column, or a state holds what no fit stores: a
-    non-finite value, a c[j] or pi[j] outside [0, 1], a psi[j] <= 0, or c[j]
-    whose sum is off 1 by more than 1e-9 (a fit's are off by rounding only).
+    DataError when the header is not one ``save_trace`` writes, no row
+    follows it, a row does not hold one number per column, or a state holds
+    what no fit stores: a non-finite value, a c[j] or pi[j] outside [0, 1], a
+    psi[j] <= 0, or c[j] whose sum is off 1 by more than 1e-9 (a fit's are
+    off by rounding only).
     """
     with reading(path) as fh:
         header = next(csv.reader(fh), [])
@@ -103,9 +105,13 @@ def load_trace(path: str):
         if k == 0 or header != _param_names(k, d, cols, zinb):
             raise DataError(f"unrecognized trace header in {path}")
         try:
-            values = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():     # no rows is the DataError below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise DataError(f"malformed trace file {path}: {exc}") from None
+    if not values.size:
+        raise DataError(f"{path} holds no stored states")
     if values.shape[1] != len(header):
         raise DataError(f"malformed trace file {path}: {values.shape[1]} "
                         f"values per row, header names {len(header)}")

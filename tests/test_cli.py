@@ -425,6 +425,17 @@ class TestTraceIO:
         with pytest.raises(DataError, match=r"chain_0\.csv: the c\[j\] of state 4 sum to 0\.9"):
             traceio.load_trace(path)
 
+    def test_header_without_rows_is_a_data_error(self, tmp_path):
+        # numpy once warned "input contained no data", and the message then
+        # read "1 values per row".
+        path = str(tmp_path / "chain_0.csv")
+        traceio.save_trace(self._trace(), path)
+        with open(path) as fh:
+            header = fh.readline()
+        _write(path, header)
+        with pytest.raises(DataError, match=r"chain_0\.csv holds no stored states"):
+            traceio.load_trace(path)
+
     def test_checksums(self, tmp_path):
         trace = self._trace()
         traceio.save_trace(trace, str(tmp_path / "chain_0.csv"))
@@ -929,6 +940,27 @@ class TestReport:
         assert run(["report", "--traces", broken]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "the header of chain_1.csv differs from that of chain_0.csv" in err
+
+    @pytest.mark.parametrize("kept", [10, 0])
+    def test_chain_with_other_state_count_exit_code(self, small_fit, tmp_path, capsys, kept):
+        # chain_1.csv cut to 10 states once gave exit 0 and a prevalence
+        # table no fit made; cut to its header, numpy warned on stderr.
+        _, fit_dir = small_fit
+        broken, out = str(tmp_path / "broken"), str(tmp_path / "rep")
+        shutil.copytree(fit_dir, broken)
+        path = os.path.join(broken, "chain_1.csv")
+        with open(path) as fh:
+            lines = fh.readlines()
+        with open(path, "w") as fh:
+            fh.writelines(lines[:1 + kept])
+        _rewrite_manifest(broken)
+        capsys.readouterr()
+        assert run(["report", "--traces", broken, "--out", out]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        states = len(lines) - 1
+        assert err.strip().endswith(f"chain_1.csv holds {kept} states, chain_0.csv {states}"
+                                    if kept else "chain_1.csv holds no stored states")
+        assert "Warning" not in err and not os.path.exists(out)
 
     @pytest.mark.parametrize("name", ["assignments.csv", "run_meta.json", "chain_1.csv"])
     def test_listed_file_missing_exit_code(self, small_fit, tmp_path, capsys, name):

@@ -294,13 +294,12 @@ class TestUpdateCoefficients:
         for _ in range(20):
             flags, eta, cur = update_coefficients(state, small_dataset, spec, counts,
                                                   np.full((3, 2), 0.05), rng)
-            moved += np.nan_to_num(flags)
+            moved += flags
             fresh = np.einsum("nd,nd->n", small_dataset.X, state.beta[state.z])
             np.testing.assert_allclose(eta, fresh, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(
                 cur, negbin_log_pmf(small_dataset.y, np.exp(fresh), state.psi[state.z])
-                - sampler._nb_table(small_dataset.y_unique, small_dataset.log_gamma_y1,
-                                    state.psi)[state.z, small_dataset.y_inverse],
+                - sampler._nb_table(small_dataset, state.psi)[state.z, small_dataset.y_inverse],
                 rtol=1e-10)
         assert np.all(moved[:2] > 0)
 
@@ -383,10 +382,9 @@ class TestVectorisedMetropolis:
             flags_b, eta, cur = update_coefficients(state, data, spec, counts, beta_scales, rng)
             flags_p = update_precisions(state, data, spec, counts, table, eta, cur,
                                         psi_scales, rng)
-            np.testing.assert_array_equal(flags_b[1], 1.0)
-            assert flags_p[1] == 1.0
-            assert np.all(np.isnan(flags_b[2])) and np.isnan(flags_p[2])
-            assert np.all(np.isfinite(flags_b[0])) and np.isfinite(flags_p[0])
+            np.testing.assert_array_equal(flags_b[1], True)
+            assert flags_p[1]
+            assert flags_b.dtype == flags_p.dtype == bool
         np.testing.assert_array_equal(state.beta[1], frozen_beta)
         assert state.psi[1] == pytest.approx(frozen_psi, rel=1e-14)
         assert np.all(state.beta[0] != start.beta[0])
@@ -449,7 +447,7 @@ class TestVectorisedMetropolis:
             k, d = state.beta.shape
             steps = scales_b * rng.standard_normal((k, d))
             log_u = np.log(rng.random((k, d)))
-            flags_b = np.zeros((k, d))
+            flags_b = np.zeros((k, d), dtype=bool)
             for j in range(k):
                 idx = np.flatnonzero((state.z == j) & (state.w == 0))
                 for dd in range(d):
@@ -460,13 +458,12 @@ class TestVectorisedMetropolis:
                              - 0.5 / hyper.s0 ** 2 * ((prop[dd] - hyper.m0) ** 2
                                                       - (state.beta[j, dd] - hyper.m0) ** 2))
                     if log_u[j, dd] < ratio:
-                        state.beta[j], flags_b[j, dd] = prop, 1.0
+                        state.beta[j], flags_b[j, dd] = prop, True
             empty = np.bincount(state.z, minlength=k) == 0
             state.beta[empty] = rng.normal(hyper.m0, hyper.s0, size=(int(empty.sum()), d))
-            flags_b[empty] = np.nan
             prop = np.log(state.psi) + scales_p * rng.standard_normal(k)
             log_u = np.log(rng.random(k))
-            flags_p = np.zeros(k)
+            flags_p = np.zeros(k, dtype=bool)
             for j in range(k):
                 idx = np.flatnonzero((state.z == j) & (state.w == 0))
                 ratio = (loglik(data, idx, state.beta[j], math.exp(prop[j]))
@@ -474,9 +471,8 @@ class TestVectorisedMetropolis:
                          - 0.5 / hyper.b0 ** 2 * ((prop[j] - hyper.a0) ** 2
                                                   - (math.log(state.psi[j]) - hyper.a0) ** 2))
                 if log_u[j] < ratio:
-                    state.psi[j], flags_p[j] = math.exp(prop[j]), 1.0
+                    state.psi[j], flags_p[j] = math.exp(prop[j]), True
             state.psi[empty] = np.exp(rng.normal(hyper.a0, hyper.b0, size=int(empty.sum())))
-            flags_p[empty] = np.nan
             return flags_b, flags_p
 
         gen = np.random.default_rng(0)
@@ -503,8 +499,9 @@ class TestVectorisedMetropolis:
             flags_vec = (flags_b, update_precisions(vec, data, spec, counts, table, eta, cur,
                                                     scales_p, rng_vec))
             flags_ref = reference(ref, data, hyper, scales_b, scales_p, rng_ref)
+            # An empty component's flags are not trials; its state is compared below.
             for a, b in zip(flags_vec, flags_ref):
-                np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(a[counts > 0], b[counts > 0])
             np.testing.assert_allclose(vec.beta, ref.beta, rtol=0, atol=1e-12)
             np.testing.assert_allclose(vec.psi, ref.psi, rtol=1e-12)
 
@@ -677,7 +674,7 @@ class TestRunChain:
         calls = _spy(monkeypatch, "_nb_table")
         cfg = SamplerConfig(iterations=20, burn_in=10, chains=1, master_seed=42)
         run_chain(ModelSpec("nb", Hyperparams(k_max=k)), data, cfg, chain_id=0)
-        cells = sum(np.size(psi) * (np.size(y) + 1) for (y, _, psi), _ in calls)
+        cells = sum(np.size(psi) * (d.y_unique.size + 1) for (d, psi), _ in calls)
         assert cells == (20 + 1) * k * (data.y_unique.size + 1)
 
     @pytest.mark.parametrize("model", ["nb", "zinb"])
@@ -690,9 +687,8 @@ class TestRunChain:
 
         def checked(state, data, spec, table, *rest):
             flags, counts = fn(state, data, spec, table, *rest)
-            current.append(np.array_equal(
-                table, _nb_table(data.y_unique, data.log_gamma_y1, state.psi)))
-            refreshed.append(np.count_nonzero(np.isnan(flags[:, -1])))
+            current.append(np.array_equal(table, _nb_table(data, state.psi)))
+            refreshed.append(np.count_nonzero(counts == 0))
             return flags, counts
 
         monkeypatch.setattr(sampler, "sweep", checked)
@@ -711,6 +707,23 @@ class TestRunChain:
         assert len(calls) == 20
         # Sweeps 12, 14, ..., 20 are stored.
         np.testing.assert_array_equal(trace.counts, [counts for _, (_, counts) in calls[11::2]])
+
+    def test_acceptance_rates_count_sweeps_where_the_component_holds_rows(
+            self, two_component_truth, monkeypatch):
+        # K_max = 6 over two true components: some slots hold rows in only
+        # some sweeps, and one never does, so its rates are NaN.
+        data = _truth_data(two_component_truth, 200)
+        calls = _spy(monkeypatch, "sweep")
+        cfg = SamplerConfig(iterations=60, burn_in=30, chains=1, master_seed=42)
+        trace = run_chain(ModelSpec("nb", Hyperparams(k_max=6)), data, cfg, chain_id=0)
+        flags = np.array([flags for _, (flags, _) in calls[30:]])
+        live = np.array([counts > 0 for _, (_, counts) in calls[30:]])[:, :, np.newaxis]
+        trials = live.sum(axis=0)
+        assert np.any(trials == 0) and np.any((trials > 0) & (trials < 30))
+        with np.errstate(invalid="ignore"):
+            rates = (flags & live).sum(axis=0) / trials
+        np.testing.assert_array_equal(trace.accept_rates["beta"], rates[:, :-1])
+        np.testing.assert_array_equal(trace.accept_rates["psi"], rates[:, -1])
 
     def test_zinb_states_valid(self):
         data, _ = generate_synthetic([1.0], [[math.log(6.0)]], [4.0], 300, [],
