@@ -5,11 +5,10 @@ infers the number of occupied components from the data, and reports
 prevalences, incidence rate ratios, and HPD intervals.
 """
 
-from .distributions import sample_dirichlet, sample_negbin
+from .distributions import sample_negbin
 from .model import (
     CovariateColumn,
     Dataset,
-    Hyperparams,
     ModelSpec,
     ParamState,
     generate_synthetic,

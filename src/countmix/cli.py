@@ -32,7 +32,6 @@ from .diagnostics import (
 from .model import (
     CovariateColumn,
     Dataset,
-    Hyperparams,
     ModelSpec,
     generate_synthetic,
 )
@@ -138,10 +137,10 @@ def parse_config(path: str) -> dict:
 
 # Each simulate and fit setting, declared once: its flag is --key with "_" written
 # as "-", and a config file may hold exactly these keys.  A default of None leaves
-# the value to the Hyperparams and SamplerConfig defaults or to the params file.
+# the value to the ModelSpec and SamplerConfig defaults or to the params file.
 Setting = namedtuple("Setting", "key type default choices help",
                      defaults=(str, None, None, None))
-_MODEL = Setting("model", default="nb", choices=("nb", "zinb"))
+_MODEL = Setting("model", choices=("nb", "zinb"))
 SETTINGS = {
     "simulate": (_MODEL, Setting("n", int), Setting("seed", int),
                  Setting("out", default="simulated")),
@@ -158,7 +157,8 @@ SETTINGS = {
     ),
 }
 # Setting keys whose dataclass field has another name.
-_FIELD_NAMES = {"kmax": "k_max", "iters": "iterations", "burnin": "burn_in", "seed": "master_seed"}
+_FIELD_NAMES = {"model": "variant", "kmax": "k_max", "iters": "iterations", "burnin": "burn_in",
+                "seed": "master_seed"}
 
 
 def _settings(command: str, args) -> dict:
@@ -204,9 +204,9 @@ def _parse_categorical(spec_str: str) -> dict:
 # ---------------------------------------------------------------------------
 # ingestion
 
-# C0 and C1 control characters: a bare carriage return in a column name, or
-# in a category level that names a dummy column, would not survive the CSV
-# files a fit writes.
+# C0 and C1 control characters: a bare carriage return in a column name, in a
+# category level that names a dummy column, or in the reference level, which
+# assignments.csv holds, would not survive the CSV files a fit writes.
 _CONTROL_CHAR = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -298,6 +298,9 @@ def ingest(path: str, categorical: dict | None = None, outcome: str = "y") -> Da
             levels = sorted(present if allowed is None else allowed)
             if ref not in present:
                 raise DataError(f"{path}: reference level {ref!r} absent from column {h!r}")
+            if _CONTROL_CHAR.search(ref):
+                raise DataError(f"{path}: reference level {ref!r} of column {h!r} "
+                                "holds a control character")
             for lev in levels:
                 if lev == ref:
                     continue
@@ -401,16 +404,16 @@ def _fit_settings(args):
         raise DataError("occupancy_threshold must lie in [0, 1], "
                         f"not {settings['occupancy_threshold']}")
     named = {_FIELD_NAMES.get(k, k): v for k, v in settings.items() if v is not None}
-    hyper, sampler_cfg = (
+    spec, sampler_cfg = (
         cls(**{f.name: named[f.name] for f in dataclasses.fields(cls) if f.name in named})
-        for cls in (Hyperparams, SamplerConfig))
+        for cls in (ModelSpec, SamplerConfig))
     # HPD intervals need HPDI_MIN_SAMPLES pooled states and R-hat 4 per chain.
     stored, chains = sampler_cfg.n_stored, sampler_cfg.chains
     if stored * chains < HPDI_MIN_SAMPLES or (chains > 1 and stored < 4):
         raise DataError(f"the fit would store {stored} states per chain, {stored * chains} "
                         f"in all; it needs at least {HPDI_MIN_SAMPLES} in all and, with two "
                         "or more chains, 4 per chain")
-    return settings, ModelSpec(variant=settings["model"], hyper=hyper), sampler_cfg
+    return settings, spec, sampler_cfg
 
 
 def _tracked_rhats(relabeled, summaries, column_names):
@@ -480,8 +483,7 @@ def _write_fit_outputs(out_dir, data, spec, sampler_cfg, settings, relabeled,
     )
 
     meta = {
-        "variant": spec.variant,
-        "hyper": dataclasses.asdict(spec.hyper),
+        "model": dataclasses.asdict(spec),
         "sampler": dataclasses.asdict(sampler_cfg),
         "column_names": list(data.column_names),
         "reference_x": [float(v) for v in reference_x],
@@ -527,8 +529,7 @@ def _summary_text(data, spec, sampler_cfg, summaries, rhats, relabeled):
     lines = []
     lines.append("countmix fit summary")
     lines.append("====================")
-    lines.append(f"model: {spec.variant}  k_max: {spec.hyper.k_max}  "
-                 f"alpha0: {_sig6(spec.hyper.alpha0)}")
+    lines.append(f"model: {spec.variant}  k_max: {spec.k_max}  alpha0: {_sig6(spec.alpha0)}")
     lines.append(f"observations: {data.n}  covariate columns: {data.d}")
     lines.append(f"chains: {sampler_cfg.chains}  iterations: {sampler_cfg.iterations}  "
                  f"burn_in: {sampler_cfg.burn_in}  thin: {sampler_cfg.thin}  "
@@ -706,7 +707,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, ValueError, OSError) as exc:
+    except (DataError, ValueError, OSError, MemoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DegenerateFitError as exc:

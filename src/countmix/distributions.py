@@ -1,9 +1,11 @@
-"""ln Gamma and the random draws of the count-mixture model.
+"""ln Gamma and the negative binomial draw of the count-mixture model.
 
 ``_log_gamma_raw`` is ln Gamma as a Lanczos series, so the core library
 needs nothing beyond numpy.  It takes a positive float array and checks
 nothing; ``model`` calls it for ln Gamma(y + 1) once per dataset and for
 the NB log pmf's ln Gamma(y + psi) - ln Gamma(psi) in ``_nb_table``.
+``sample_negbin`` draws the counts of ``generate_synthetic``; the sampler
+takes its Dirichlet and Beta draws from numpy directly.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import math
 
 import numpy as np
 
-__all__ = ["sample_negbin", "sample_dirichlet"]
+__all__ = ["sample_negbin"]
 
 # Lanczos approximation, g = 607/128 with 15 coefficients (Godfrey's set).
 # Relative error is at float64 machine precision over (0, 1e6].
@@ -80,20 +82,3 @@ def sample_negbin(mu, psi, rng: np.random.Generator, size):
         draws[big] = np.maximum(0, np.rint(approx)).astype(np.int64)
     return draws
 
-
-def sample_dirichlet(alphas, rng: np.random.Generator) -> np.ndarray:
-    """One Dirichlet(alphas) draw via normalized Gamma variates."""
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim != 1 or alphas.size < 1:
-        raise ValueError("alphas must be a non-empty vector")
-    if not np.all(np.isfinite(alphas)) or np.any(alphas <= 0.0):
-        raise ValueError("Dirichlet parameters must be finite and > 0")
-    g = rng.standard_gamma(alphas)
-    total = g.sum()
-    if total <= 0.0:
-        # All gammas underflowed (only possible for extreme alphas); fall
-        # back to a one-hot draw proportional to alphas.
-        g = np.zeros_like(alphas)
-        g[rng.choice(alphas.size, p=alphas / alphas.sum())] = 1.0
-        total = 1.0
-    return g / total

@@ -6,7 +6,7 @@ inferred from data rather than fixed in advance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -14,7 +14,6 @@ from .distributions import _log_gamma_raw, sample_negbin
 
 __all__ = [
     "Dataset",
-    "Hyperparams",
     "ModelSpec",
     "ParamState",
     "CovariateColumn",
@@ -27,10 +26,13 @@ __all__ = [
 # MCMC wandering cannot produce inf/NaN means.  Clamped cells are not counted.
 LINPRED_CLAMP = 50.0
 
-@dataclass(frozen=True)
-class Hyperparams:
-    """Prior configuration.  s0 and b0 are standard deviations."""
 
+@dataclass(frozen=True)
+class ModelSpec:
+    """The model: its variant, then the finite numbers that set its priors.
+    s0 and b0 are standard deviations; each pi_k has a Beta(1, 1) prior."""
+
+    variant: str = "nb"  # "nb" or "zinb"
     alpha0: float = 0.1
     m0: float = 0.0
     s0: float = 10.0
@@ -39,26 +41,15 @@ class Hyperparams:
     k_max: int = 10
 
     def __post_init__(self):
-        infinite = [f.name for f in fields(self) if not np.isfinite(getattr(self, f.name))]
+        if self.variant not in ("nb", "zinb"):
+            raise ValueError(f"unknown model variant {self.variant!r}")
+        infinite = [f.name for f in fields(self)[1:] if not np.isfinite(getattr(self, f.name))]
         if infinite:
             raise ValueError(f"{', '.join(infinite)} must be finite")
         if self.alpha0 <= 0 or self.s0 <= 0 or self.b0 <= 0:
             raise ValueError("alpha0, s0, b0 must be positive")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    variant: str = "nb"  # "nb" or "zinb"
-    hyper: Hyperparams = field(default_factory=Hyperparams)
-    pi_prior: tuple[float, float] = (1.0, 1.0)
-
-    def __post_init__(self):
-        if self.variant not in ("nb", "zinb"):
-            raise ValueError(f"unknown model variant {self.variant!r}")
-        if min(self.pi_prior) <= 0:
-            raise ValueError("pi_prior shapes must be positive")
 
     @property
     def zero_inflated(self) -> bool:

@@ -34,7 +34,6 @@ from .model import (
     _nb_eta_terms,
     _nb_table,
 )
-from .distributions import sample_dirichlet
 
 __all__ = [
     "SamplerConfig",
@@ -195,9 +194,10 @@ def update_assignments(state: ParamState, data: Dataset, table: np.ndarray,
     return z
 
 
-def update_weights(counts: np.ndarray, hyper, rng: np.random.Generator) -> np.ndarray:
+def update_weights(counts: np.ndarray, spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     """Conjugate Dirichlet(alpha0 + counts) draw of the weights, given row counts."""
-    return sample_dirichlet(hyper.alpha0 + counts, rng)
+    g = rng.standard_gamma(spec.alpha0 + counts)  # counts sum to N >= 1, so g.sum() > 0
+    return g / g.sum()
 
 
 def _likelihood_rows(state: ParamState, k: int) -> np.ndarray:
@@ -233,7 +233,6 @@ def update_coefficients(state: ParamState, data: Dataset, spec: ModelSpec, count
     component; work, if given, is a (K, N) float array for the product that
     forms eta.
     """
-    hyper = spec.hyper
     k_max, d_dim = state.beta.shape
     z = state.z
     rows = _likelihood_rows(state, k_max)
@@ -245,8 +244,8 @@ def update_coefficients(state: ParamState, data: Dataset, spec: ModelSpec, count
     log_u = np.log(rng.random((k_max, d_dim)))
     proposed = state.beta + steps
     # The prior part of every log ratio; step d adds its likelihood part.
-    log_ratio = (0.5 / hyper.s0 ** 2) * (
-        (state.beta - hyper.m0) ** 2 - (proposed - hyper.m0) ** 2
+    log_ratio = (0.5 / spec.s0 ** 2) * (
+        (state.beta - spec.m0) ** 2 - (proposed - spec.m0) ** 2
     )
     accept = np.empty((k_max, d_dim), dtype=bool)
     for d in range(d_dim):
@@ -260,7 +259,7 @@ def update_coefficients(state: ParamState, data: Dataset, spec: ModelSpec, count
         np.putmask(cur, moved, new)
     state.beta[accept] = proposed[accept]
     empty = counts == 0
-    state.beta[empty] = rng.normal(hyper.m0, hyper.s0, size=(int(empty.sum()), d_dim))
+    state.beta[empty] = rng.normal(spec.m0, spec.s0, size=(int(empty.sum()), d_dim))
     return accept, eta, cur
 
 
@@ -280,7 +279,6 @@ def update_precisions(state: ParamState, data: Dataset, spec: ModelSpec, counts:
     accept or are refreshed are rewritten in place, so table stays the
     current psi's.  Returns the (K,) boolean acceptances.
     """
-    hyper = spec.hyper
     k_max = state.psi.shape[0]
     z = state.z
     rows = _likelihood_rows(state, k_max)
@@ -288,13 +286,13 @@ def update_precisions(state: ParamState, data: Dataset, spec: ModelSpec, counts:
     prop = log_psi + scales * rng.standard_normal(k_max)
     log_u = np.log(rng.random(k_max))
     empty = counts == 0
-    prop[empty] = rng.normal(hyper.a0, hyper.b0, size=int(empty.sum()))
+    prop[empty] = rng.normal(spec.a0, spec.b0, size=int(empty.sum()))
     psi_new = np.exp(prop)
     table_new = _nb_table(data, psi_new)
     new = _nb_eta_terms(data._yf, eta, psi_new.take(z))
     new += (table_new - table).take(z * data.y_unique.size + data.y_inverse)
     log_ratio = (np.bincount(rows, weights=new - cur, minlength=k_max + 1)[:k_max]
-                 + (0.5 / hyper.b0 ** 2) * ((log_psi - hyper.a0) ** 2 - (prop - hyper.a0) ** 2))
+                 + (0.5 / spec.b0 ** 2) * ((log_psi - spec.a0) ** 2 - (prop - spec.a0) ** 2))
     accept = np.isfinite(log_ratio) & (log_u < log_ratio)
     moved = accept | empty
     state.psi[moved] = psi_new[moved]
@@ -306,9 +304,9 @@ def update_zero_inflation(state: ParamState, data: Dataset, spec: ModelSpec, cou
                           table: np.ndarray, rng: np.random.Generator):
     """Draw structural-zero indicators w and per-component pi, in place (zinb).
 
-    counts is the rows per component, table the current psi's ``_nb_table``.
+    Each pi_k has a Beta(1, 1) prior.  counts is the rows per component,
+    table the current psi's ``_nb_table``.
     """
-    a, b = spec.pi_prior
     w = np.zeros(data.n, dtype=np.int8)
     zero_idx = np.flatnonzero(data.zero_mask)
     if zero_idx.size:
@@ -321,14 +319,14 @@ def update_zero_inflation(state: ParamState, data: Dataset, spec: ModelSpec, cou
         prob = np.where(p1 + p0 > 0, p1 / (p1 + p0), 0.0)
         w[zero_idx] = (rng.random(zero_idx.size) < prob).astype(np.int8)
     s_k = np.bincount(state.z[w == 1], minlength=counts.size).astype(float)
-    state.pi = rng.beta(a + s_k, b + counts - s_k)
+    state.pi = rng.beta(1.0 + s_k, 1.0 + counts - s_k)
     state.w = w
     return state.pi, w
 
 
 def _initial_state(data: Dataset, spec: ModelSpec, chain_id: int) -> ParamState:
     """Quantile-binned start: overdispersed yet informed, rotated per chain."""
-    k = spec.hyper.k_max
+    k = spec.k_max
     order = np.roll(np.arange(k), chain_id % k)
     ranks = np.argsort(np.argsort(data.y, kind="stable"), kind="stable")
     bins = np.minimum(ranks * k // data.n, k - 1)
@@ -363,13 +361,13 @@ def sweep(state: ParamState, data: Dataset, spec: ModelSpec, table: np.ndarray,
     flags of a component with none are not trials.  work is a (2, K, N)
     float array for temporaries.
     """
-    k, d = spec.hyper.k_max, data.d
+    k, d = spec.k_max, data.d
     work = np.empty((2, k, data.n)) if work is None else work
     update_assignments(state, data, table, rng, work)
     counts = np.bincount(state.z, minlength=k)
     if spec.zero_inflated:
         update_zero_inflation(state, data, spec, counts, table, rng)
-    state.c = update_weights(counts, spec.hyper, rng)
+    state.c = update_weights(counts, spec, rng)
     flags_beta, eta, cur = update_coefficients(state, data, spec, counts, scales[:, :d],
                                                rng, work[0])
     flags_psi = update_precisions(state, data, spec, counts, table, eta, cur, scales[:, d], rng)
@@ -394,7 +392,7 @@ def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
         raise ValueError("configuration stores no post-burn-in states")
     rng = np.random.default_rng([config.master_seed, chain_id])
     state = _initial_state(data, spec, chain_id)
-    k, d = spec.hyper.k_max, data.d
+    k, d = spec.k_max, data.d
 
     # Columns 0..d-1 are the beta coordinates, column d is ln psi.
     log_scale = np.log(np.column_stack([np.full((k, d), 0.1), np.full(k, 0.5)]))

@@ -38,7 +38,7 @@ def reading(path: str):
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             yield fh
-    except (OSError, UnicodeDecodeError, csv.Error, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error, json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 

@@ -30,11 +30,10 @@ from countmix.diagnostics import (
     relabel,
     rhat,
 )
-from countmix.distributions import _log_gamma_raw, sample_dirichlet, sample_negbin
+from countmix.distributions import _log_gamma_raw, sample_negbin
 from countmix.model import (
     CovariateColumn,
     Dataset,
-    Hyperparams,
     LINPRED_CLAMP,
     ModelSpec,
     ParamState,
@@ -89,12 +88,12 @@ def test_criterion_1_distribution_exactness():
 def test_criterion_2_conjugacy_exactness():
     start = time.time()
     z = np.repeat([0, 1, 2], [420, 4091, 2607])
-    hyper = Hyperparams(alpha0=0.1, k_max=3)
+    spec = ModelSpec(alpha0=0.1, k_max=3)
     rng = np.random.default_rng(0)
     m = 10 ** 5
     total = np.zeros(3)
     for _ in range(m):
-        total += update_weights(np.bincount(z, minlength=3), hyper, rng)
+        total += update_weights(np.bincount(z, minlength=3), spec, rng)
     empirical = total / m
     alpha = np.array([420.1, 4091.1, 2607.1])
     a0 = alpha.sum()
@@ -134,8 +133,7 @@ def _grid_sd(grid, log_density):
 
 def test_criterion_3_grid_quadrature_oracles():
     start = time.time()
-    hyper = Hyperparams(k_max=1)
-    spec = ModelSpec("nb", hyper)
+    spec = ModelSpec("nb", k_max=1)
     beta_true = np.array([[math.log(8.0), 0.4]])
     data, _ = generate_synthetic([1.0], beta_true, [3.0], 50,
                                  [CovariateColumn("x1", "normal")], seed=101)
@@ -148,7 +146,7 @@ def test_criterion_3_grid_quadrature_oracles():
                       -LINPRED_CLAMP, LINPRED_CLAMP)
         mu = np.exp(eta)
         ll = negbin_log_pmf(np.tile(data.y, (len(b1), 1)), mu, psi).sum(axis=1)
-        return ll - 0.5 * (b1 - hyper.m0) ** 2 / hyper.s0 ** 2
+        return ll - 0.5 * (b1 - spec.m0) ** 2 / spec.s0 ** 2
 
     b0_fixed, psi_fixed = math.log(8.0), 3.0
     grid_b = np.linspace(0.4 - 0.8, 0.4 + 0.8, 4001)
@@ -173,7 +171,7 @@ def test_criterion_3_grid_quadrature_oracles():
         for i, p in enumerate(psi_grid):
             ll = negbin_log_pmf(data.y, mu, p).sum()
             lp = np.log(p)
-            out[i] = ll - 0.5 * (lp - hyper.a0) ** 2 / hyper.b0 ** 2 - lp
+            out[i] = ll - 0.5 * (lp - spec.a0) ** 2 / spec.b0 ** 2 - lp
         return out
 
     grid_p = np.linspace(0.8, 15.0, 4001)
@@ -202,18 +200,17 @@ def test_criterion_3_grid_quadrature_oracles():
 # criterion 4: Geweke joint-distribution test
 
 
-def _geweke_prior_draw(rng, hyper, spec, X):
-    k, n = hyper.k_max, X.shape[0]
-    c = sample_dirichlet(np.full(k, hyper.alpha0), rng)
+def _geweke_prior_draw(rng, spec, X):
+    k, n = spec.k_max, X.shape[0]
+    c = update_weights(np.zeros(k, dtype=np.int64), spec, rng)
     state = ParamState(
         c=c,
-        beta=rng.normal(hyper.m0, hyper.s0, size=(k, X.shape[1])),
-        psi=np.exp(rng.normal(hyper.a0, hyper.b0, size=k)),
+        beta=rng.normal(spec.m0, spec.s0, size=(k, X.shape[1])),
+        psi=np.exp(rng.normal(spec.a0, spec.b0, size=k)),
         z=rng.choice(k, size=n, p=c),
     )
     if spec.zero_inflated:
-        a, b = spec.pi_prior
-        state.pi = rng.beta(a, b, size=k)
+        state.pi = rng.beta(1.0, 1.0, size=k)
         state.w = (rng.random(n) < state.pi[state.z]).astype(np.int8)
     return state
 
@@ -242,8 +239,7 @@ def _geweke_zscores(variant, seed):
     n, k = 20, 2
     # Tame hyperparameters keep the prior-generated counts finite so both
     # loops explore the same region in reasonable time.
-    hyper = Hyperparams(alpha0=1.0, m0=0.0, s0=0.6, a0=0.5, b0=0.5, k_max=k)
-    spec = ModelSpec(variant, hyper)
+    spec = ModelSpec(variant, alpha0=1.0, m0=0.0, s0=0.6, a0=0.5, b0=0.5, k_max=k)
     x_rng = np.random.default_rng(99)
     X = np.column_stack([np.ones(n), x_rng.standard_normal(n)])
     names = ("intercept", "x1")
@@ -251,11 +247,11 @@ def _geweke_zscores(variant, seed):
 
     marginal = []
     for _ in range(m1):
-        state = _geweke_prior_draw(rng, hyper, spec, X)
+        state = _geweke_prior_draw(rng, spec, X)
         marginal.append(_geweke_scalars(state, _geweke_generate_y(rng, state, X)))
     marginal = np.array(marginal)
 
-    state = _geweke_prior_draw(rng, hyper, spec, X)
+    state = _geweke_prior_draw(rng, spec, X)
     y = _geweke_generate_y(rng, state, X)
     successive = []
     for _ in range(m2):
@@ -303,7 +299,7 @@ def headline_fit():
         covariates=[CovariateColumn(*e) for e in truth["covariates"]],
         seed=truth["seed"],
     )
-    spec = ModelSpec("nb", Hyperparams(k_max=10))
+    spec = ModelSpec("nb", k_max=10)
     cfg = SamplerConfig(iterations=10000, burn_in=5000, chains=4,
                         master_seed=MASTER_SEED)
     start = time.time()
@@ -422,7 +418,7 @@ def test_criterion_6_zinb_recovery():
         seed=truth["seed"],
         pi=true_pi,
     )
-    spec = ModelSpec("zinb", Hyperparams(k_max=10))
+    spec = ModelSpec("zinb", k_max=10)
     cfg = SamplerConfig(iterations=10000, burn_in=5000, chains=4,
                         master_seed=MASTER_SEED)
     start = time.time()

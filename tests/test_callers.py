@@ -1,5 +1,6 @@
 """The library keeps only what the program calls."""
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,3 +74,13 @@ def test_every_private_function_and_constant_is_read():
                        if name.startswith("_") and not name.startswith("__")
                        and name not in used]
     assert unused == []
+
+
+def test_every_exported_name_is_defined():
+    """Each name in the ``__all__`` of a src/countmix module is bound in that
+    module, so a definition that goes cannot leave its export behind."""
+    missing = []
+    for module, _ in _library_modules():
+        loaded = importlib.import_module(f"countmix.{module}")
+        missing += [f"{module}.{name}" for name in loaded.__all__ if not hasattr(loaded, name)]
+    assert missing == []

@@ -26,7 +26,7 @@ from countmix.cli import (
     parse_config,
     run,
 )
-from countmix.model import CovariateColumn, Dataset, Hyperparams, generate_synthetic
+from countmix.model import CovariateColumn, Dataset, ModelSpec, generate_synthetic
 from countmix.sampler import SamplerConfig, SamplerError, Trace
 
 
@@ -96,17 +96,17 @@ class TestConfig:
     def test_defaults_are_the_dataclass_defaults(self):
         args = cli.build_parser().parse_args(["fit", "--input", "d.csv"])
         _, spec, sampler_cfg = cli._fit_settings(args)
-        assert spec.hyper == Hyperparams()
+        assert spec == ModelSpec()
         assert sampler_cfg == SamplerConfig()
 
     # A value other than the default for every field of both dataclasses.
-    FIELD_VALUES = {"alpha0": 0.5, "m0": 1.0, "s0": 5.0, "a0": -1.0, "b0": 3.0, "k_max": 5,
-                    "iterations": 600, "burn_in": 300, "thin": 2, "chains": 3,
-                    "master_seed": 7, "target_accept": 0.4}
+    FIELD_VALUES = {"variant": "zinb", "alpha0": 0.5, "m0": 1.0, "s0": 5.0, "a0": -1.0,
+                    "b0": 3.0, "k_max": 5, "iterations": 600, "burn_in": 300, "thin": 2,
+                    "chains": 3, "master_seed": 7, "target_accept": 0.4}
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_every_field_is_a_setting(self, tmp_path, source):
-        fields = [f for cls in (Hyperparams, SamplerConfig) for f in dataclasses.fields(cls)]
+        fields = [f for cls in (ModelSpec, SamplerConfig) for f in dataclasses.fields(cls)]
         assert sorted(f.name for f in fields) == sorted(self.FIELD_VALUES)
         key_of = {field: key for key, field in cli._FIELD_NAMES.items()}
         argv = ["fit", "--input", "d.csv"]
@@ -121,8 +121,7 @@ class TestConfig:
         if source == "config":
             argv += ["--config", str(tmp_path / "run.cfg")]
         _, spec, sampler_cfg = cli._fit_settings(cli.build_parser().parse_args(argv))
-        assert {**dataclasses.asdict(spec.hyper),
-                **dataclasses.asdict(sampler_cfg)} == self.FIELD_VALUES
+        assert {**dataclasses.asdict(spec), **dataclasses.asdict(sampler_cfg)} == self.FIELD_VALUES
 
     @pytest.mark.parametrize("command,line", [
         ("fit", "iterations = 50"), ("fit", "burn_in = 10"), ("simulate", "kmax = 3"),
@@ -297,6 +296,19 @@ class TestIngest:
         path = _write(tmp_path / "d.csv", 'y,site\n3,north\n2,"a\rb"\n')
         with pytest.raises(DataError, match=re.escape("column name 'site=a\\rb'")):
             ingest(path, categorical={"site": ("north", None)})
+
+    def test_control_character_in_reference_level(self, tmp_path, capsys):
+        # The reference level names no dummy column, but assignments.csv
+        # holds it, and report could not read a bare carriage return back.
+        path = _write(tmp_path / "d.csv", "y,site\n" + '3,north\n2,"a\rb"\n' * 4)
+        message = f"{path}: reference level 'a\\rb' of column 'site' holds a control character"
+        with pytest.raises(DataError, match=re.escape(message)):
+            ingest(path, categorical={"site": ("a\rb", None)})
+        capsys.readouterr()
+        assert run(["fit", "--input", path, "--categorical", "site=a\rb",
+                    "--out", str(tmp_path / "f")] + FIT_FLAGS) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "f")
 
     @pytest.mark.parametrize("header,message", [
         ("y,y", "duplicate column name 'y'"),
@@ -567,21 +579,37 @@ class TestSimulate:
         assert not os.path.exists(tmp_path / "s")
 
     @pytest.mark.parametrize("case", ["config-missing", "params-missing", "params-not-json",
-                                      "seed-negative"])
+                                      "params-too-deep", "seed-negative"])
     def test_rejected_input_exit_code(self, tmp_path, capsys, case):
-        params = _write(tmp_path / "p.json", "{\"weights\": [0.4," if case == "params-not-json"
-                        else json.dumps(SMALL_PARAMS))
+        # json.load recurses once per level, so deep nesting exhausts the stack.
+        params = _write(tmp_path / "p.json", {
+            "params-not-json": "{\"weights\": [0.4,",
+            "params-too-deep": "[" * 200000 + "]" * 200000,
+        }.get(case, json.dumps(SMALL_PARAMS)))
         missing = str(tmp_path / "nope")
         flags, named = {
             "config-missing": (["--params", params, "--config", missing], missing),
             "params-missing": (["--params", missing], missing),
             "params-not-json": (["--params", params], params),
+            "params-too-deep": (["--params", params], params),
             "seed-negative": (["--params", params, "--seed", "-3"], "seed must be >= 0, not -3"),
         }[case]
         capsys.readouterr()
         assert run(["simulate", "--out", str(tmp_path / "s")] + flags) == EXIT_INPUT
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "s")
+
+    def test_out_of_memory_exit_code(self, tmp_path, monkeypatch, capsys):
+        # simulate --n 1000000000000 asks numpy for 36.4 TiB; the draw is
+        # faked here, since a real attempt may fill the memory of the host.
+        def too_big(*args, **kwargs):
+            raise MemoryError("Unable to allocate 36.4 TiB for an array")
+
+        monkeypatch.setattr(cli, "generate_synthetic", too_big)
+        capsys.readouterr()
+        assert run(["simulate", "--n", "1000000000000", "--out", str(tmp_path / "s")]) == EXIT_INPUT
+        assert "Unable to allocate 36.4 TiB" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "s")
 
     def test_n_zero_exit_code(self, tmp_path):
@@ -615,10 +643,10 @@ class TestFit:
         meta = json.loads(open(os.path.join(fit_dir, "run_meta.json")).read())
         args = cli.build_parser().parse_args(["fit", "--input", "d.csv"] + FIT_FLAGS)
         _, spec, sampler_cfg = cli._fit_settings(args)
-        assert meta["hyper"] == dataclasses.asdict(spec.hyper)
+        assert meta["model"] == dataclasses.asdict(spec)
         assert meta["sampler"] == dataclasses.asdict(sampler_cfg)
-        # k_max is recorded once, under hyper.
-        assert "k_max" not in meta
+        # The variant and k_max are recorded once, under model.
+        assert not {"variant", "k_max"} & set(meta)
 
     def test_emitted_tables_reparse(self, small_fit):
         _, fit_dir = small_fit
@@ -1146,6 +1174,16 @@ class TestReport:
     def test_missing_meta_exit_code(self, tmp_path):
         os.makedirs(tmp_path / "empty_dir", exist_ok=True)
         assert run(["report", "--traces", str(tmp_path / "empty_dir")]) == EXIT_INPUT
+
+    def test_deeply_nested_meta_exit_code(self, small_fit, tmp_path, capsys):
+        _, fit_dir = small_fit
+        edited = str(tmp_path / "edited")
+        shutil.copytree(fit_dir, edited)
+        meta_path = _write(os.path.join(edited, "run_meta.json"), "[" * 200000 + "]" * 200000)
+        _rewrite_manifest(edited)
+        capsys.readouterr()
+        assert run(["report", "--traces", edited]) == EXIT_INPUT
+        assert f"cannot read {meta_path}" in capsys.readouterr().err
 
 
 class TestFileFaults:

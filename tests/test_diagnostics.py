@@ -20,7 +20,6 @@ from countmix.diagnostics import (
 )
 from countmix.model import (
     Dataset,
-    Hyperparams,
     ModelSpec,
     generate_synthetic,
 )
@@ -265,7 +264,7 @@ def separated_fit(two_component_truth_module):
     t = two_component_truth_module
     data, z_true = generate_synthetic(t["c"], t["beta"], t["psi"], 2000,
                                       t["covariates"], seed=30)
-    spec = ModelSpec("nb", Hyperparams(k_max=5))
+    spec = ModelSpec("nb", k_max=5)
     cfg = SamplerConfig(iterations=4000, burn_in=2000, chains=2, master_seed=3)
     traces = [run_chain(spec, data, cfg, chain_id=i) for i in range(2)]
     rel = relabel(traces, reference_x=data.X.mean(axis=0), weight_floor=0.01)

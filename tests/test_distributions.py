@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from countmix.distributions import _log_gamma_raw, sample_dirichlet, sample_negbin
+from countmix.distributions import _log_gamma_raw, sample_negbin
 from oracles import negbin_log_pmf, zinb_log_pmf
 
 mpmath.mp.dps = 50
@@ -184,37 +184,3 @@ class TestSampleNegbin:
         out = sample_negbin(np.array([1.0, 10.0]), np.array([1.0, 2.0]), rng, size=2)
         assert out.shape == (2,)
 
-
-class TestSampleDirichlet:
-    def test_degenerate(self, rng):
-        np.testing.assert_array_equal(sample_dirichlet([3.0], rng), [1.0])
-
-    @given(st.lists(st.floats(min_value=0.05, max_value=50.0), min_size=1, max_size=12))
-    @settings(max_examples=60, deadline=None)
-    def test_simplex(self, alphas):
-        c = sample_dirichlet(alphas, np.random.default_rng(0))
-        assert np.all(c >= 0)
-        assert c.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_symmetric_mean(self, rng):
-        k, m = 10, 10 ** 5
-        draws = np.array([sample_dirichlet(np.full(k, 0.1), rng) for _ in range(m)])
-        # Var of one coordinate: a(1-a/ka)/(ka+1) with a=0.1, k=10.
-        var = 0.1 * 0.9 / 2.0
-        se = math.sqrt(var / m)
-        assert np.all(np.abs(draws.mean(axis=0) - 0.1) < 3 * se)
-
-    @pytest.mark.parametrize("bad", [[], [0.0], [-1.0, 1.0], [float("nan")]])
-    def test_domain_errors(self, bad, rng):
-        with pytest.raises(ValueError):
-            sample_dirichlet(bad, rng)
-
-    def test_all_underflow_draws_one_hot_by_alphas(self, rng):
-        # Every gamma variate underflows to 0 at these shapes, so each draw
-        # is the one-hot fallback, whose index must follow alphas / sum.
-        w = np.array([0.2, 0.3, 0.5])
-        draws = np.array([sample_dirichlet(w * 1e-302, rng) for _ in range(20000)])
-        assert np.all(draws.sum(axis=1) == 1.0) and np.all(draws.max(axis=1) == 1.0)
-        freq = draws.mean(axis=0)
-        se = np.sqrt(w * (1 - w) / len(draws))
-        assert np.all(np.abs(freq - w) < 4 * se)

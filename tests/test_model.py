@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from countmix.model import (
     CovariateColumn,
     Dataset,
-    Hyperparams,
     LINPRED_CLAMP,
     ModelSpec,
     ParamState,
@@ -22,21 +21,20 @@ from oracles import log_pmf_matrix, negbin_log_pmf, zinb_log_pmf
 
 class TestContainers:
     def test_hyperparam_defaults(self):
-        h = Hyperparams()
-        assert (h.alpha0, h.m0, h.s0, h.a0, h.b0, h.k_max) == (0.1, 0.0, 10.0, 0.0, 2.0, 10)
+        s = ModelSpec()
+        assert (s.variant, s.alpha0, s.m0, s.s0, s.a0, s.b0, s.k_max) == (
+            "nb", 0.1, 0.0, 10.0, 0.0, 2.0, 10)
 
     @pytest.mark.parametrize("kwargs", [
         {"alpha0": 0.0}, {"s0": -1.0}, {"b0": 0.0}, {"k_max": 0},
     ])
     def test_hyperparam_validation(self, kwargs):
         with pytest.raises(ValueError):
-            Hyperparams(**kwargs)
+            ModelSpec(**kwargs)
 
     def test_modelspec_validation(self):
         with pytest.raises(ValueError):
             ModelSpec("poisson")
-        with pytest.raises(ValueError):
-            ModelSpec("zinb", pi_prior=(0.0, 1.0))
         assert ModelSpec("zinb").zero_inflated
         assert not ModelSpec("nb").zero_inflated
 

@@ -12,7 +12,6 @@ from scipy import stats
 from countmix.model import (
     CovariateColumn,
     Dataset,
-    Hyperparams,
     LINPRED_CLAMP,
     ModelSpec,
     ParamState,
@@ -245,9 +244,22 @@ class TestCumsumRows:
 
 
 class TestUpdateWeights:
+    def test_degenerate(self, rng):
+        np.testing.assert_array_equal(update_weights(np.array([3]), ModelSpec(k_max=1), rng),
+                                      [1.0])
+
+    @given(st.lists(st.integers(0, 5000), min_size=1, max_size=12).filter(any),
+           st.floats(min_value=0.05, max_value=50.0))
+    @settings(max_examples=60, deadline=None)
+    def test_simplex(self, counts, alpha0):
+        c = update_weights(np.array(counts), ModelSpec(alpha0=alpha0, k_max=len(counts)),
+                           np.random.default_rng(0))
+        assert np.all(c >= 0)
+        assert c.sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_empty_counts_sample_prior(self, rng):
-        hyper = Hyperparams(alpha0=0.5, k_max=3)
-        draws = np.array([update_weights(np.bincount([], minlength=3), hyper, rng)
+        spec = ModelSpec(alpha0=0.5, k_max=3)
+        draws = np.array([update_weights(np.bincount([], minlength=3), spec, rng)
                           for _ in range(20000)])
         se = math.sqrt((1 / 3) * (2 / 3) / 2.5 / draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - 1 / 3) < 4 * se)
@@ -260,9 +272,9 @@ class TestUpdateWeights:
 
     def test_posterior_moments_monte_carlo(self, rng):
         counts = np.bincount(np.repeat([0, 1, 2], [420, 4091, 2607]), minlength=3)
-        hyper = Hyperparams(alpha0=0.1, k_max=3)
+        spec = ModelSpec(alpha0=0.1, k_max=3)
         m = 20000
-        draws = np.array([update_weights(counts, hyper, rng) for _ in range(m)])
+        draws = np.array([update_weights(counts, spec, rng) for _ in range(m)])
         alpha = np.array([420.1, 4091.1, 2607.1])
         a0 = alpha.sum()
         mean = alpha / a0
@@ -273,7 +285,7 @@ class TestUpdateWeights:
 
 class TestUpdateCoefficients:
     def test_zero_scale_never_moves(self, small_dataset, rng):
-        spec = ModelSpec("nb", Hyperparams(k_max=1))
+        spec = ModelSpec("nb", k_max=1)
         state = _state_for(small_dataset, 1, beta=[[1.5, -0.2]])
         before = state.beta.copy()
         flags, _, _ = update_coefficients(state, small_dataset, spec,
@@ -285,7 +297,7 @@ class TestUpdateCoefficients:
     def test_returns_the_current_linear_predictor_and_terms(self, small_dataset, rng):
         # The psi step takes eta and cur as they are, so after the steps
         # they must match a fresh evaluation at the updated beta.
-        spec = ModelSpec("nb", Hyperparams(k_max=3))
+        spec = ModelSpec("nb", k_max=3)
         state = _state_for(small_dataset, 3, beta=[[1.5, 0.2], [1.0, -0.3], [0.0, 0.0]],
                            psi=[2.0, 5.0, 1.0])
         state.z = np.arange(small_dataset.n) % 2
@@ -304,7 +316,7 @@ class TestUpdateCoefficients:
         assert np.all(moved[:2] > 0)
 
     def test_empty_component_prior_refresh(self, small_dataset, rng):
-        spec = ModelSpec("nb", Hyperparams(k_max=2))
+        spec = ModelSpec("nb", k_max=2)
         draws = []
         for _ in range(5000):
             state = _state_for(small_dataset, 2)
@@ -320,7 +332,7 @@ class TestUpdateCoefficients:
 
 class TestUpdatePrecisions:
     def test_zero_scale_never_moves(self, small_dataset, rng):
-        spec = ModelSpec("nb", Hyperparams(k_max=1))
+        spec = ModelSpec("nb", k_max=1)
         state = _state_for(small_dataset, 1, psi=[3.0])
         flags = update_precisions(state, small_dataset, spec,
                                   *psi_step_inputs(state, small_dataset), np.zeros(1), rng)
@@ -329,7 +341,7 @@ class TestUpdatePrecisions:
         assert flags[0] == 1.0
 
     def test_empty_component_prior_median(self, small_dataset, rng):
-        spec = ModelSpec("nb", Hyperparams(k_max=2))
+        spec = ModelSpec("nb", k_max=2)
         draws = []
         for _ in range(5000):
             state = _state_for(small_dataset, 2)
@@ -372,7 +384,7 @@ class TestVectorisedMetropolis:
 
     def test_zero_scale_component_frozen_among_moving_ones(self, rng):
         data, _, state = self._three_components()
-        spec = ModelSpec("nb", Hyperparams(k_max=3))
+        spec = ModelSpec("nb", k_max=3)
         beta_scales = np.array([[0.05, 0.05], [0.0, 0.0], [0.1, 0.1]])
         psi_scales = np.array([0.3, 0.0, 0.3])
         frozen_beta, frozen_psi = state.beta[1].copy(), state.psi[1]
@@ -397,18 +409,17 @@ class TestVectorisedMetropolis:
         from test_acceptance import _grid_sd, _ks_against_grid
 
         data, data0, state = self._three_components()
-        hyper = Hyperparams(k_max=3)
-        spec = ModelSpec("nb", hyper)
+        spec = ModelSpec("nb", k_max=3)
         b0, psi0 = math.log(8.0), 3.0
 
         grid_b = np.linspace(-0.4, 1.2, 4001)
         mu_grid = np.exp(b0 + grid_b[:, None] * data0.X[:, 1])
         logd_b = (negbin_log_pmf(np.tile(data0.y, (grid_b.size, 1)), mu_grid, psi0).sum(axis=1)
-                  - 0.5 * (grid_b - hyper.m0) ** 2 / hyper.s0 ** 2)
+                  - 0.5 * (grid_b - spec.m0) ** 2 / spec.s0 ** 2)
         mu0 = np.exp(data0.X @ np.array([b0, 0.4]))
         grid_lp = np.linspace(math.log(0.8), math.log(15.0), 4001)
         logd_lp = (np.array([negbin_log_pmf(data0.y, mu0, math.exp(lp)).sum() for lp in grid_lp])
-                   - 0.5 * (grid_lp - hyper.a0) ** 2 / hyper.b0 ** 2)
+                   - 0.5 * (grid_lp - spec.a0) ** 2 / spec.b0 ** 2)
 
         draws, burn = 50000, 2000
         rng = np.random.default_rng(7)
@@ -443,7 +454,7 @@ class TestVectorisedMetropolis:
             eta = np.clip(data.X[idx] @ beta_k, -LINPRED_CLAMP, LINPRED_CLAMP)
             return negbin_log_pmf(data.y[idx], np.exp(eta), psi_k).sum()
 
-        def reference(state, data, hyper, scales_b, scales_p, rng):
+        def reference(state, data, spec, scales_b, scales_p, rng):
             k, d = state.beta.shape
             steps = scales_b * rng.standard_normal((k, d))
             log_u = np.log(rng.random((k, d)))
@@ -455,12 +466,12 @@ class TestVectorisedMetropolis:
                     prop[dd] += steps[j, dd]
                     ratio = (loglik(data, idx, prop, state.psi[j])
                              - loglik(data, idx, state.beta[j], state.psi[j])
-                             - 0.5 / hyper.s0 ** 2 * ((prop[dd] - hyper.m0) ** 2
-                                                      - (state.beta[j, dd] - hyper.m0) ** 2))
+                             - 0.5 / spec.s0 ** 2 * ((prop[dd] - spec.m0) ** 2
+                                                     - (state.beta[j, dd] - spec.m0) ** 2))
                     if log_u[j, dd] < ratio:
                         state.beta[j], flags_b[j, dd] = prop, True
             empty = np.bincount(state.z, minlength=k) == 0
-            state.beta[empty] = rng.normal(hyper.m0, hyper.s0, size=(int(empty.sum()), d))
+            state.beta[empty] = rng.normal(spec.m0, spec.s0, size=(int(empty.sum()), d))
             prop = np.log(state.psi) + scales_p * rng.standard_normal(k)
             log_u = np.log(rng.random(k))
             flags_p = np.zeros(k, dtype=bool)
@@ -468,11 +479,11 @@ class TestVectorisedMetropolis:
                 idx = np.flatnonzero((state.z == j) & (state.w == 0))
                 ratio = (loglik(data, idx, state.beta[j], math.exp(prop[j]))
                          - loglik(data, idx, state.beta[j], state.psi[j])
-                         - 0.5 / hyper.b0 ** 2 * ((prop[j] - hyper.a0) ** 2
-                                                  - (math.log(state.psi[j]) - hyper.a0) ** 2))
+                         - 0.5 / spec.b0 ** 2 * ((prop[j] - spec.a0) ** 2
+                                                 - (math.log(state.psi[j]) - spec.a0) ** 2))
                 if log_u[j] < ratio:
                     state.psi[j], flags_p[j] = math.exp(prop[j]), True
-            state.psi[empty] = np.exp(rng.normal(hyper.a0, hyper.b0, size=int(empty.sum())))
+            state.psi[empty] = np.exp(rng.normal(spec.a0, spec.b0, size=int(empty.sum())))
             return flags_b, flags_p
 
         gen = np.random.default_rng(0)
@@ -485,8 +496,7 @@ class TestVectorisedMetropolis:
         z[:15] = 3                       # component 3: structural zeros only
         w = np.zeros(n, dtype=np.int8)
         w[:40] = 1
-        hyper = Hyperparams(k_max=5)     # component 4 is empty
-        spec = ModelSpec("zinb", hyper)
+        spec = ModelSpec("zinb", k_max=5)  # component 4 is empty
         vec = ParamState(c=np.full(5, 0.2), beta=gen.normal(0, 1, (5, 3)),
                          psi=np.exp(gen.normal(0, 1, 5)), z=z, pi=np.full(5, 0.3), w=w)
         vec.beta[0, 0] = 60.0            # every row of component 0 is clamped
@@ -498,7 +508,7 @@ class TestVectorisedMetropolis:
             flags_b, eta, cur = update_coefficients(vec, data, spec, counts, scales_b, rng_vec)
             flags_vec = (flags_b, update_precisions(vec, data, spec, counts, table, eta, cur,
                                                     scales_p, rng_vec))
-            flags_ref = reference(ref, data, hyper, scales_b, scales_p, rng_ref)
+            flags_ref = reference(ref, data, spec, scales_b, scales_p, rng_ref)
             # An empty component's flags are not trials; its state is compared below.
             for a, b in zip(flags_vec, flags_ref):
                 np.testing.assert_array_equal(a[counts > 0], b[counts > 0])
@@ -516,7 +526,7 @@ class TestUpdateZeroInflation:
 
     def test_pi_zero_forces_w_zero(self, rng):
         data = self._zinb_setup()
-        spec = ModelSpec("zinb", Hyperparams(k_max=1))
+        spec = ModelSpec("zinb", k_max=1)
         draws = []
         for _ in range(4000):
             state = _state_for(data, 1, beta=[[2.0]], pi=[0.0])
@@ -533,7 +543,7 @@ class TestUpdateZeroInflation:
     def test_bernoulli_probability_two_thirds(self, rng):
         # pi = 0.5 and NB(0 | mu=1, psi=1) = 0.5 give P(w=1) = 2/3.
         data = Dataset(y=[0], X=np.ones((1, 1)), column_names=("intercept",))
-        spec = ModelSpec("zinb", Hyperparams(k_max=1))
+        spec = ModelSpec("zinb", k_max=1)
         hits = 0
         m = 30000
         for _ in range(m):
@@ -545,7 +555,7 @@ class TestUpdateZeroInflation:
 
     def test_positive_counts_never_structural(self, rng):
         data = self._zinb_setup()
-        spec = ModelSpec("zinb", Hyperparams(k_max=1))
+        spec = ModelSpec("zinb", k_max=1)
         state = _state_for(data, 1, beta=[[2.0]], pi=[0.9])
         _, w = update_zero_inflation(state, data, spec, *sweep_shared(state, data), rng)
         assert np.all(w[data.y > 0] == 0)
@@ -555,11 +565,10 @@ class TestZeroInflationConditionals:
     """Exact conditionals of update_zero_inflation at K = 3 (component 2
     empty), drawn many times from one fixed state: given z, w_n = 1 with
     probability p1 / (p1 + p0), p1 = pi_z and p0 = (1 - pi_z) NB(0 | mu_n,
-    psi_z), and given w, pi_k ~ Beta(a + s_k, b + n_k - s_k) with s_k the
+    psi_z), and given w, pi_k ~ Beta(1 + s_k, 1 + n_k - s_k) with s_k the
     structural zeros among the n_k rows of component k."""
 
     DRAWS = 4000
-    PI_PRIOR = (2.0, 3.0)
 
     @pytest.fixture(scope="class")
     def draws(self):
@@ -573,7 +582,7 @@ class TestZeroInflationConditionals:
                            beta=np.array([[1.0, 0.5], [0.5, -0.3], [0.0, 0.0]]),
                            psi=np.array([0.5, 20.0, 1.0]), z=z,
                            pi=np.array([0.6, 0.2, 0.4]))
-        spec = ModelSpec("zinb", Hyperparams(k_max=3), pi_prior=self.PI_PRIOR)
+        spec = ModelSpec("zinb", k_max=3)
         rng = np.random.default_rng(17)
         pis, ws = [], []
         shared = sweep_shared(state, data)
@@ -603,12 +612,11 @@ class TestZeroInflationConditionals:
         # Probability integral transform through each draw's own Beta
         # conditional: uniform on (0, 1) per component, empty one included.
         _, state, pis, ws = draws
-        a, b = self.PI_PRIOR
         n_k = np.bincount(state.z, minlength=3)
         s_k = np.stack([np.bincount(state.z[w == 1], minlength=3) for w in ws])
         assert np.all(s_k[:, 2] == 0) and n_k[2] == 0
         assert np.mean(s_k[:, :2] != n_k[:2] - s_k[:, :2]) > 0.8
-        u = stats.beta.cdf(pis, a + s_k, b + n_k - s_k)
+        u = stats.beta.cdf(pis, 1 + s_k, 1 + n_k - s_k)
         for k in range(3):
             assert stats.kstest(u[:, k], "uniform").pvalue > 1e-3
 
@@ -624,14 +632,14 @@ class TestRunChain:
 
     def test_deterministic(self, two_component_truth):
         data = _truth_data(two_component_truth, 200)
-        spec = ModelSpec("nb", Hyperparams(k_max=4))
+        spec = ModelSpec("nb", k_max=4)
         a = run_chain(spec, data, self.CFG, chain_id=0)
         b = run_chain(spec, data, self.CFG, chain_id=0)
         np.testing.assert_equal(vars(a), vars(b))
 
     def test_trace_length_and_validity(self, two_component_truth):
         data = _truth_data(two_component_truth, 150)
-        spec = ModelSpec("nb", Hyperparams(k_max=3))
+        spec = ModelSpec("nb", k_max=3)
         cfg = SamplerConfig(iterations=220, burn_in=100, thin=3, chains=1,
                             master_seed=1)
         trace = run_chain(spec, data, cfg, chain_id=0)
@@ -647,7 +655,7 @@ class TestRunChain:
         beta_true = np.array([[math.log(12.0), 0.4]])
         data, _ = generate_synthetic([1.0], beta_true, [3.0], 3000,
                                      [CovariateColumn("x1", "normal")], seed=21)
-        spec = ModelSpec("nb", Hyperparams(k_max=1))
+        spec = ModelSpec("nb", k_max=1)
         cfg = SamplerConfig(iterations=1500, burn_in=700, chains=1, master_seed=5)
         trace = run_chain(spec, data, cfg, chain_id=0)
         for d in range(2):
@@ -656,7 +664,7 @@ class TestRunChain:
 
     def test_acceptance_rates_in_band(self, two_component_truth):
         data = _truth_data(two_component_truth, 500)
-        spec = ModelSpec("nb", Hyperparams(k_max=3))
+        spec = ModelSpec("nb", k_max=3)
         cfg = SamplerConfig(iterations=1600, burn_in=800, chains=1, master_seed=2)
         trace = run_chain(spec, data, cfg, chain_id=0)
         occupied = np.flatnonzero(trace.c.mean(axis=0) > 0.05)
@@ -673,7 +681,7 @@ class TestRunChain:
         k = 4
         calls = _spy(monkeypatch, "_nb_table")
         cfg = SamplerConfig(iterations=20, burn_in=10, chains=1, master_seed=42)
-        run_chain(ModelSpec("nb", Hyperparams(k_max=k)), data, cfg, chain_id=0)
+        run_chain(ModelSpec("nb", k_max=k), data, cfg, chain_id=0)
         cells = sum(np.size(psi) * (d.y_unique.size + 1) for (d, psi), _ in calls)
         assert cells == (20 + 1) * k * (data.y_unique.size + 1)
 
@@ -693,7 +701,7 @@ class TestRunChain:
 
         monkeypatch.setattr(sampler, "sweep", checked)
         cfg = SamplerConfig(iterations=30, burn_in=10, chains=1, master_seed=42)
-        run_chain(ModelSpec(model, Hyperparams(k_max=6)), data, cfg, chain_id=0)
+        run_chain(ModelSpec(model, k_max=6), data, cfg, chain_id=0)
         assert len(current) == 30 and all(current)
         assert sum(n > 0 for n in refreshed) > 10
 
@@ -703,7 +711,7 @@ class TestRunChain:
         data = _truth_data(two_component_truth, 200)
         calls = _spy(monkeypatch, "sweep")
         cfg = SamplerConfig(iterations=20, burn_in=10, thin=2, chains=1, master_seed=42)
-        trace = run_chain(ModelSpec("nb", Hyperparams(k_max=4)), data, cfg, chain_id=0)
+        trace = run_chain(ModelSpec("nb", k_max=4), data, cfg, chain_id=0)
         assert len(calls) == 20
         # Sweeps 12, 14, ..., 20 are stored.
         np.testing.assert_array_equal(trace.counts, [counts for _, (_, counts) in calls[11::2]])
@@ -715,7 +723,7 @@ class TestRunChain:
         data = _truth_data(two_component_truth, 200)
         calls = _spy(monkeypatch, "sweep")
         cfg = SamplerConfig(iterations=60, burn_in=30, chains=1, master_seed=42)
-        trace = run_chain(ModelSpec("nb", Hyperparams(k_max=6)), data, cfg, chain_id=0)
+        trace = run_chain(ModelSpec("nb", k_max=6), data, cfg, chain_id=0)
         flags = np.array([flags for _, (flags, _) in calls[30:]])
         live = np.array([counts > 0 for _, (_, counts) in calls[30:]])[:, :, np.newaxis]
         trials = live.sum(axis=0)
@@ -728,7 +736,7 @@ class TestRunChain:
     def test_zinb_states_valid(self):
         data, _ = generate_synthetic([1.0], [[math.log(6.0)]], [4.0], 300, [],
                                      seed=13, pi=[0.3])
-        spec = ModelSpec("zinb", Hyperparams(k_max=2))
+        spec = ModelSpec("zinb", k_max=2)
         trace = run_chain(spec, data, self.CFG, chain_id=0)
         assert trace.pi is not None
         assert np.all((trace.pi >= 0) & (trace.pi <= 1))
@@ -745,7 +753,7 @@ class TestOccupancyWeightedRate:
 
     def test_run_chain_weights_by_stored_counts(self, two_component_truth):
         data = _truth_data(two_component_truth, 200)
-        trace = run_chain(ModelSpec("nb", Hyperparams(k_max=4)), data, TestRunChain.CFG, 0)
+        trace = run_chain(ModelSpec("nb", k_max=4), data, TestRunChain.CFG, 0)
         mean_counts = trace.counts.mean(axis=0)
         for key in ("beta", "psi"):
             assert trace.accept_rates[f"{key}_weighted"] == _occupancy_weighted_rate(
@@ -753,7 +761,7 @@ class TestOccupancyWeightedRate:
 
 
 class TestRunChains:
-    SPEC = ModelSpec("nb", Hyperparams(k_max=3))
+    SPEC = ModelSpec("nb", k_max=3)
     CFG = SamplerConfig(iterations=200, burn_in=100, chains=3, master_seed=7)
 
     def test_parallel_matches_sequential(self, two_component_truth):
