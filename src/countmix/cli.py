@@ -130,8 +130,10 @@ def parse_config(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise DataError(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise DataError(f"{path}:{lineno}: config key {key!r} is given twice")
+            out[key] = value
     return out
 
 
@@ -193,11 +195,11 @@ def _parse_categorical(spec_str: str) -> dict:
         if "=" not in part:
             raise DataError(f"bad categorical directive {part!r} (want col=reference)")
         col, rest = part.split("=", 1)
-        if ":" in rest:
-            ref, levels = rest.split(":", 1)
-            out[col.strip()] = (ref.strip(), tuple(s.strip() for s in levels.split("|")))
-        else:
-            out[col.strip()] = (rest.strip(), None)
+        ref, colon, levels = rest.partition(":")
+        col = col.strip()
+        if col in out:
+            raise DataError(f"categorical column {col!r} is declared twice")
+        out[col] = (ref.strip(), tuple(s.strip() for s in levels.split("|")) if colon else None)
     return out
 
 

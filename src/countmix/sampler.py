@@ -2,19 +2,19 @@
 
 Per sweep: assignments z (conjugate categorical), structural zeros and pi
 for the zero-inflated variant, weights c (conjugate Dirichlet), then
-random-walk Metropolis on each beta coordinate and on log psi, proposed for
-all components at once (given z they are conditionally independent).
-Proposal scales adapt toward a target acceptance rate during burn-in only,
-so the stored chain is a valid Markov chain.
+random-walk Metropolis on each component's regression, one beta coordinate
+at a time and then ln psi, proposed for all components at once (given z
+they are conditionally independent).  Proposal scales adapt toward a target
+acceptance rate during burn-in only, so the stored chain is a valid Markov
+chain.
 
-``sweep`` runs the blocks in this order and computes what they share once:
-the rows per component, counted after the assignment draw.  The beta step
-hands its linear predictor and NB terms to the psi step.  The current psi's
-``_nb_table`` is carried from sweep to sweep: ``run_chain`` builds it once,
-and the psi step, the only block that changes psi, rewrites the rows it
-changes.  The Metropolis blocks return boolean acceptances and refresh
-empty components from the prior.  ``run_chain`` adds adaptation, checks
-and storage, and counts a component's steps only where it holds rows.
+``sweep`` runs the blocks in this order and counts the rows per component
+once, after the assignment draw.  The current psi's ``_nb_table`` is carried
+from sweep to sweep: ``run_chain`` builds it once, and the regression block,
+the only one that changes psi, rewrites the rows it changes.  That block
+returns boolean acceptances and refreshes empty components from the prior.
+``run_chain`` adds adaptation, checks and storage, and counts a component's
+steps only where it holds rows.
 """
 from __future__ import annotations
 
@@ -41,8 +41,7 @@ __all__ = [
     "SamplerError",
     "update_assignments",
     "update_weights",
-    "update_coefficients",
-    "update_precisions",
+    "update_regressions",
     "update_zero_inflation",
     "sweep",
     "run_chain",
@@ -70,6 +69,8 @@ class SamplerConfig:
             raise ValueError("thin and chains must be >= 1, burn_in and master_seed >= 0")
         if not 0.0 < self.target_accept < 1.0:
             raise ValueError("target_accept must lie in (0, 1)")
+        if self.n_stored < 1:
+            raise ValueError("thin must be <= iterations - burn_in, or no state is stored")
 
     @property
     def n_stored(self) -> int:
@@ -200,54 +201,40 @@ def update_weights(counts: np.ndarray, spec: ModelSpec, rng: np.random.Generator
     return g / g.sum()
 
 
-def _likelihood_rows(state: ParamState, k: int) -> np.ndarray:
-    """Per row, the component whose beta/psi likelihood it enters: z, with
-    the out-of-range label k (dropped from per-component sums) for w = 1."""
-    if state.w is None:
-        return state.z
-    return np.where(state.w == 1, k, state.z)
+def update_regressions(state: ParamState, data: Dataset, spec: ModelSpec, counts: np.ndarray,
+                       table: np.ndarray, scales: np.ndarray, rng: np.random.Generator,
+                       work: np.ndarray | None = None) -> np.ndarray:
+    """Random-walk Metropolis on each component's (beta_k, ln psi_k), in place.
 
-
-def _linear_predictor(beta: np.ndarray, X: np.ndarray, z: np.ndarray,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """eta_n = x_n . beta_{z_n} for every row.
-
-    The (K, N) product beta X^T is read off at (z_n, n) with one flat take,
-    which costs less than gathering beta[z] as an (N, D) array.  out, if
-    given, is a (K, N) float array that holds the product.
-    """
-    n = X.shape[0]
-    return np.matmul(beta, X.T, out=out).take(z * n + np.arange(n))
-
-
-def update_coefficients(state: ParamState, data: Dataset, spec: ModelSpec, counts: np.ndarray,
-                        scales: np.ndarray, rng: np.random.Generator,
-                        work: np.ndarray | None = None):
-    """Random-walk Metropolis on beta, one coordinate at a time, in place.
-
-    Step d proposes coordinate d for every component at once; an empty
-    component's beta is then refreshed from the prior.  Returns (accept,
-    eta, cur): the (K, D) boolean acceptances, and each row's linear
-    predictor and ``_nb_eta_terms`` at the current psi, kept current through
-    the steps, which the psi step takes as they are.  counts is the rows per
-    component; work, if given, is a (K, N) float array for the product that
-    forms eta.
+    D steps on the beta coordinates, then one on ln psi, each proposing for
+    every component at once and summing the rows' log-likelihood changes per
+    component; each row's linear predictor and ``_nb_eta_terms`` are kept
+    current through the steps.  The prior of ln psi is N(a0, b0^2), so the
+    symmetric proposal needs no Jacobian.  An empty component's beta is
+    refreshed from the prior after its steps, and its psi takes the prior
+    refresh as its proposal.  counts is the rows per component, table the
+    current psi's ``_nb_table``, whose rows are rewritten where psi accepts or
+    is refreshed.  scales and the returned boolean acceptances are (K, D + 1):
+    the beta coordinates, then ln psi.  work, if given, is a (K, N) float
+    array for the product that forms eta.
     """
     k_max, d_dim = state.beta.shape
     z = state.z
-    rows = _likelihood_rows(state, k_max)
-    yf, X = data._yf, data.X
+    # The component whose likelihood each row enters: z, with the out-of-range
+    # label k_max (dropped from per-component sums) for a structural zero.
+    rows = z if state.w is None else np.where(state.w == 1, k_max, z)
+    yf, X, n = data._yf, data.X, data.n
     psi_z = state.psi.take(z)
-    eta = _linear_predictor(state.beta, X, z, out=work)
+    # eta_n = x_n . beta_{z_n}: the (K, N) product beta X^T read off at (z_n, n)
+    # with one flat take costs less than gathering beta[z] as an (N, D) array.
+    eta = np.matmul(state.beta, X.T, out=work).take(z * n + np.arange(n))
     cur = _nb_eta_terms(yf, eta, psi_z)
-    steps = scales * rng.standard_normal((k_max, d_dim))
+    steps = scales[:, :d_dim] * rng.standard_normal((k_max, d_dim))
     log_u = np.log(rng.random((k_max, d_dim)))
     proposed = state.beta + steps
     # The prior part of every log ratio; step d adds its likelihood part.
-    log_ratio = (0.5 / spec.s0 ** 2) * (
-        (state.beta - spec.m0) ** 2 - (proposed - spec.m0) ** 2
-    )
-    accept = np.empty((k_max, d_dim), dtype=bool)
+    log_ratio = (0.5 / spec.s0 ** 2) * ((state.beta - spec.m0) ** 2 - (proposed - spec.m0) ** 2)
+    accept = np.empty((k_max, d_dim + 1), dtype=bool)
     for d in range(d_dim):
         eta_new = eta + steps[:, d].take(z) * X[:, d]
         new = _nb_eta_terms(yf, eta_new, psi_z)
@@ -257,44 +244,22 @@ def update_coefficients(state: ParamState, data: Dataset, spec: ModelSpec, count
         moved = accept[:, d].take(z)
         np.putmask(eta, moved, eta_new)
         np.putmask(cur, moved, new)
-    state.beta[accept] = proposed[accept]
+    np.copyto(state.beta, proposed, where=accept[:, :d_dim])
     empty = counts == 0
     state.beta[empty] = rng.normal(spec.m0, spec.s0, size=(int(empty.sum()), d_dim))
-    return accept, eta, cur
 
-
-def update_precisions(state: ParamState, data: Dataset, spec: ModelSpec, counts: np.ndarray,
-                      table: np.ndarray, eta: np.ndarray, cur: np.ndarray,
-                      scales: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Random-walk Metropolis on log psi, all components at once, in place.
-
-    The log-normal prior is expressed in ln psi (ln psi ~ N(a0, b0^2)), so
-    the symmetric proposal needs no Jacobian correction.  A row's change in
-    log-likelihood, that of its table entry (read at data.y_inverse) plus
-    that of its ``_nb_eta_terms``, is summed per component.  counts is the
-    rows per component, table the current psi's ``_nb_table``, and eta and
-    cur each row's linear predictor and ``_nb_eta_terms`` at the current
-    state, as ``update_coefficients`` returns them.  Empty components take
-    their prior refresh as the proposal, and the rows of psi and table that
-    accept or are refreshed are rewritten in place, so table stays the
-    current psi's.  Returns the (K,) boolean acceptances.
-    """
-    k_max = state.psi.shape[0]
-    z = state.z
-    rows = _likelihood_rows(state, k_max)
     log_psi = np.log(state.psi)
-    prop = log_psi + scales * rng.standard_normal(k_max)
+    prop = log_psi + scales[:, d_dim] * rng.standard_normal(k_max)
     log_u = np.log(rng.random(k_max))
-    empty = counts == 0
     prop[empty] = rng.normal(spec.a0, spec.b0, size=int(empty.sum()))
     psi_new = np.exp(prop)
     table_new = _nb_table(data, psi_new)
-    new = _nb_eta_terms(data._yf, eta, psi_new.take(z))
+    new = _nb_eta_terms(yf, eta, psi_new.take(z))
     new += (table_new - table).take(z * data.y_unique.size + data.y_inverse)
-    log_ratio = (np.bincount(rows, weights=new - cur, minlength=k_max + 1)[:k_max]
-                 + (0.5 / spec.b0 ** 2) * ((log_psi - spec.a0) ** 2 - (prop - spec.a0) ** 2))
-    accept = np.isfinite(log_ratio) & (log_u < log_ratio)
-    moved = accept | empty
+    ratio = (np.bincount(rows, weights=new - cur, minlength=k_max + 1)[:k_max]
+             + (0.5 / spec.b0 ** 2) * ((log_psi - spec.a0) ** 2 - (prop - spec.a0) ** 2))
+    accept[:, d_dim] = np.isfinite(ratio) & (log_u < ratio)
+    moved = accept[:, d_dim] | empty
     state.psi[moved] = psi_new[moved]
     table[moved] = table_new[moved]
     return accept
@@ -356,22 +321,19 @@ def sweep(state: ParamState, data: Dataset, spec: ModelSpec, table: np.ndarray,
     table is the current psi's ``_nb_table`` over ``data.y_unique``.  psi
     changes only in the last block, which keeps table current in place, so
     one table serves this sweep and the next.  The proposal scales and the
-    boolean acceptance flags are (K, D + 1): the beta coordinates, then ln
-    psi.  counts is the rows per component after the assignment draw; the
-    flags of a component with none are not trials.  work is a (2, K, N)
-    float array for temporaries.
+    boolean acceptance flags are (K, D + 1), as ``update_regressions`` takes
+    and returns them.  counts is the rows per component after the assignment
+    draw; the flags of a component with none are not trials.  work is a
+    (2, K, N) float array for temporaries.
     """
-    k, d = spec.k_max, data.d
+    k = spec.k_max
     work = np.empty((2, k, data.n)) if work is None else work
     update_assignments(state, data, table, rng, work)
     counts = np.bincount(state.z, minlength=k)
     if spec.zero_inflated:
         update_zero_inflation(state, data, spec, counts, table, rng)
     state.c = update_weights(counts, spec, rng)
-    flags_beta, eta, cur = update_coefficients(state, data, spec, counts, scales[:, :d],
-                                               rng, work[0])
-    flags_psi = update_precisions(state, data, spec, counts, table, eta, cur, scales[:, d], rng)
-    return np.column_stack([flags_beta, flags_psi]), counts
+    return update_regressions(state, data, spec, counts, table, scales, rng, work[0]), counts
 
 
 def _check_finite(state: ParamState, iteration: int, chain_id: int):
@@ -388,8 +350,6 @@ def _check_finite(state: ParamState, iteration: int, chain_id: int):
 def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
               chain_id: int) -> Trace:
     """Run one chain; fully reproducible from (master_seed, chain_id)."""
-    if config.n_stored < 1:
-        raise ValueError("configuration stores no post-burn-in states")
     rng = np.random.default_rng([config.master_seed, chain_id])
     state = _initial_state(data, spec, chain_id)
     k, d = spec.k_max, data.d

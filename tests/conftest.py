@@ -2,8 +2,7 @@
 import numpy as np
 import pytest
 
-from countmix.model import CovariateColumn, Dataset, _nb_eta_terms, _nb_table
-from countmix.sampler import _linear_predictor
+from countmix.model import CovariateColumn, Dataset, _nb_table
 
 # One line per acceptance criterion, printed in the terminal summary so the
 # pass/fail verdicts survive pytest's output capture.
@@ -32,12 +31,6 @@ def current_table(state, data):
 def sweep_shared(state, data):
     """The rows per component and current psi's table, as ``sampler.sweep`` hands them on."""
     return np.bincount(state.z, minlength=state.c.size), current_table(state, data)
-
-
-def psi_step_inputs(state, data):
-    """update_precisions' counts, table, eta and cur, from the helpers a sweep uses."""
-    eta = _linear_predictor(state.beta, data.X, state.z)
-    return *sweep_shared(state, data), eta, _nb_eta_terms(data._yf, eta, state.psi[state.z])
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import current_table, psi_step_inputs, record_criterion
+from conftest import current_table, record_criterion
 from countmix.cli import (
     DEMO_TRUTH,
     DEMO_TRUTH_ZINB,
@@ -43,8 +43,7 @@ from countmix.sampler import (
     SamplerConfig,
     run_chains,
     sweep,
-    update_coefficients,
-    update_precisions,
+    update_regressions,
     update_weights,
 )
 from oracles import _nb_logpmf_raw, negbin_log_pmf
@@ -156,10 +155,11 @@ def test_criterion_3_grid_quadrature_oracles():
     rng = np.random.default_rng(7)
     state = ParamState(c=np.array([1.0]), beta=np.array([[b0_fixed, 0.4]]),
                        psi=np.array([psi_fixed]), z=z)
-    scales = np.array([[0.0, 2.4 * sd_b]])  # frozen intercept, tuned slope
+    scales = np.array([[0.0, 2.4 * sd_b, 0.0]])  # frozen intercept and ln psi, tuned slope
+    counts, table = np.bincount(z, minlength=1), current_table(state, data)
     samples_b = np.empty(draws)
     for it in range(burn + draws):
-        update_coefficients(state, data, spec, np.bincount(z, minlength=1), scales, rng)
+        update_regressions(state, data, spec, counts, table, scales, rng)
         if it >= burn:
             samples_b[it - burn] = state.beta[0, 1]
     ks_b = _ks_against_grid(samples_b, grid_b, logd_b)
@@ -181,10 +181,11 @@ def test_criterion_3_grid_quadrature_oracles():
     rng = np.random.default_rng(8)
     state = ParamState(c=np.array([1.0]), beta=np.array([[b0_fixed, 0.4]]),
                        psi=np.array([psi_fixed]), z=z)
+    scales = np.array([[0.0, 0.0, 2.4 * sd_lp]])  # frozen beta, tuned ln psi
+    table = current_table(state, data)
     samples_p = np.empty(draws)
     for it in range(burn + draws):
-        update_precisions(state, data, spec, *psi_step_inputs(state, data),
-                          np.array([2.4 * sd_lp]), rng)
+        update_regressions(state, data, spec, counts, table, scales, rng)
         if it >= burn:
             samples_p[it - burn] = state.psi[0]
     ks_p = _ks_against_grid(samples_p, grid_p, logd_p)

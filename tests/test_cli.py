@@ -123,6 +123,23 @@ class TestConfig:
         _, spec, sampler_cfg = cli._fit_settings(cli.build_parser().parse_args(argv))
         assert {**dataclasses.asdict(spec), **dataclasses.asdict(sampler_cfg)} == self.FIELD_VALUES
 
+    @pytest.mark.parametrize("config,categorical,named", [
+        ("kmax = 3\nkmax = 5\n", "t=a", ["run.cfg:2:", "'kmax'"]),
+        ("", "t=a;t=b", ["'t'"]),
+    ], ids=["config-key", "categorical-column"])
+    def test_setting_given_twice_exits_before_running(self, tmp_path, monkeypatch, capsys,
+                                                      config, categorical, named):
+        # The last value once replaced the first without a word.
+        cfg = _write(tmp_path / "run.cfg", config)
+        path = _write(tmp_path / "d.csv", "y,t\n3,a\n2,b\n")
+        calls = []
+        monkeypatch.setattr(cli, "run_chains", lambda *a, **k: calls.append(a))
+        assert run(["fit", "--config", cfg, "--input", path, "--categorical", categorical,
+                    "--out", str(tmp_path / "o")]) == EXIT_INPUT and not calls
+        assert not os.path.exists(tmp_path / "o")
+        err = capsys.readouterr().err
+        assert all(part in err for part in named), err
+
     @pytest.mark.parametrize("command,line", [
         ("fit", "iterations = 50"), ("fit", "burn_in = 10"), ("simulate", "kmax = 3"),
     ])

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from countmix import distributions
 from countmix.distributions import _log_gamma_raw, sample_negbin
 from oracles import negbin_log_pmf, zinb_log_pmf
 
@@ -162,6 +163,18 @@ class TestSampleNegbin:
         dev = (draws - draws.mean()) ** 2
         se_var = dev.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.var(ddof=1) - var) < 3 * se_var
+
+    def test_normal_approximation_above_the_poisson_cutoff(self, rng):
+        # The gamma rates lie at least 8 SDs above the cutoff, so every
+        # draw is the rounded normal one.
+        mu, psi = 1e9, 100.0
+        assert mu * (1.0 - 8.0 / math.sqrt(psi)) > distributions._POISSON_NORMAL_CUTOFF
+        draws = sample_negbin(mu, psi, rng, size=20000)
+        assert draws.dtype == np.int64 and np.all(draws >= 0)
+        var = mu + mu ** 2 / psi
+        assert abs(draws.mean() - mu) < 4 * math.sqrt(var / draws.size)
+        dev = (draws - draws.mean()) ** 2
+        assert abs(draws.var(ddof=1) - var) < 4 * dev.std(ddof=1) / math.sqrt(draws.size)
 
     def test_deterministic(self):
         a = sample_negbin(5.0, 2.0, np.random.default_rng(3), size=100)

@@ -56,6 +56,23 @@ class TestContainers:
         with pytest.raises(ValueError):
             Dataset(y=[1, 2, 3], X=X, column_names=("intercept", "x"))
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: Dataset(y=[[1, 2]], X=np.ones((1, 1)), column_names=("intercept",)),
+         "length N"),
+        (lambda: Dataset(y=[1, 2], X=np.ones((3, 1)), column_names=("intercept",)), "length N"),
+        (lambda: Dataset(y=[], X=np.ones((0, 1)), column_names=("intercept",)), "N >= 1"),
+        (lambda: Dataset(y=[1], X=np.ones((1, 0)), column_names=()), "D >= 1"),
+        (lambda: Dataset(y=[1, 2], X=np.ones((2, 2)), column_names=("intercept",)),
+         "column_names"),
+        (lambda: CovariateColumn("x1", "uniform"), "unknown covariate kind"),
+        (lambda: generate_synthetic([1.0], [[0.0, 1.0]], [1.0], 10, [], seed=0),
+         "non-intercept columns"),
+    ], ids=["y-not-1d", "n-mismatch", "no-rows", "no-columns", "names-width", "covariate-kind",
+            "covariate-count"])
+    def test_shape_and_kind_errors(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_dataset_immutable(self, small_dataset):
         with pytest.raises(ValueError):
             small_dataset.y[0] = 99

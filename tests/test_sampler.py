@@ -18,7 +18,7 @@ from countmix.model import (
     _nb_table,
     generate_synthetic,
 )
-from conftest import current_table, psi_step_inputs, sweep_shared
+from conftest import current_table, sweep_shared
 from countmix import sampler
 from countmix.sampler import (
     SamplerConfig,
@@ -29,8 +29,7 @@ from countmix.sampler import (
     run_chain,
     run_chains,
     update_assignments,
-    update_coefficients,
-    update_precisions,
+    update_regressions,
     update_weights,
     update_zero_inflation,
 )
@@ -47,6 +46,7 @@ class TestSamplerConfig:
         {"thin": 0},
         {"chains": 0},
         {"target_accept": 1.5},
+        {"iterations": 10, "burn_in": 5, "thin": 6},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -288,32 +288,11 @@ class TestUpdateCoefficients:
         spec = ModelSpec("nb", k_max=1)
         state = _state_for(small_dataset, 1, beta=[[1.5, -0.2]])
         before = state.beta.copy()
-        flags, _, _ = update_coefficients(state, small_dataset, spec,
-                                          np.bincount(state.z, minlength=1), np.zeros((1, 2)), rng)
+        flags = update_regressions(state, small_dataset, spec, *sweep_shared(state, small_dataset),
+                                   np.zeros((1, 3)), rng)
         np.testing.assert_array_equal(state.beta, before)
         # Zero step means the proposal equals the current point: ratio 1.
         assert np.all(flags == 1.0)
-
-    def test_returns_the_current_linear_predictor_and_terms(self, small_dataset, rng):
-        # The psi step takes eta and cur as they are, so after the steps
-        # they must match a fresh evaluation at the updated beta.
-        spec = ModelSpec("nb", k_max=3)
-        state = _state_for(small_dataset, 3, beta=[[1.5, 0.2], [1.0, -0.3], [0.0, 0.0]],
-                           psi=[2.0, 5.0, 1.0])
-        state.z = np.arange(small_dataset.n) % 2
-        moved = np.zeros((3, 2))
-        counts = np.bincount(state.z, minlength=3)
-        for _ in range(20):
-            flags, eta, cur = update_coefficients(state, small_dataset, spec, counts,
-                                                  np.full((3, 2), 0.05), rng)
-            moved += flags
-            fresh = np.einsum("nd,nd->n", small_dataset.X, state.beta[state.z])
-            np.testing.assert_allclose(eta, fresh, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(
-                cur, negbin_log_pmf(small_dataset.y, np.exp(fresh), state.psi[state.z])
-                - sampler._nb_table(small_dataset, state.psi)[state.z, small_dataset.y_inverse],
-                rtol=1e-10)
-        assert np.all(moved[:2] > 0)
 
     def test_empty_component_prior_refresh(self, small_dataset, rng):
         spec = ModelSpec("nb", k_max=2)
@@ -321,8 +300,8 @@ class TestUpdateCoefficients:
         for _ in range(5000):
             state = _state_for(small_dataset, 2)
             state.z[:] = 0  # component 1 empty
-            update_coefficients(state, small_dataset, spec, np.bincount(state.z, minlength=2),
-                                np.full((2, 2), 0.1), rng)
+            update_regressions(state, small_dataset, spec, *sweep_shared(state, small_dataset),
+                               np.array([[0.1, 0.1, 0.0]] * 2), rng)
             draws.append(state.beta[1].copy())
         draws = np.array(draws)
         se_mean = 10.0 / math.sqrt(draws.shape[0])
@@ -334,11 +313,11 @@ class TestUpdatePrecisions:
     def test_zero_scale_never_moves(self, small_dataset, rng):
         spec = ModelSpec("nb", k_max=1)
         state = _state_for(small_dataset, 1, psi=[3.0])
-        flags = update_precisions(state, small_dataset, spec,
-                                  *psi_step_inputs(state, small_dataset), np.zeros(1), rng)
+        flags = update_regressions(state, small_dataset, spec, *sweep_shared(state, small_dataset),
+                                   np.zeros((1, 3)), rng)
         # exp(log(3) + 0) round-trips through log space
         assert state.psi[0] == pytest.approx(3.0, rel=1e-15)
-        assert flags[0] == 1.0
+        assert flags[0, 2]
 
     def test_empty_component_prior_median(self, small_dataset, rng):
         spec = ModelSpec("nb", k_max=2)
@@ -346,8 +325,8 @@ class TestUpdatePrecisions:
         for _ in range(5000):
             state = _state_for(small_dataset, 2)
             state.z[:] = 0
-            update_precisions(state, small_dataset, spec, *psi_step_inputs(state, small_dataset),
-                              np.full(2, 0.3), rng)
+            update_regressions(state, small_dataset, spec, *sweep_shared(state, small_dataset),
+                               np.array([[0.0, 0.0, 0.3]] * 2), rng)
             draws.append(state.psi[1])
         draws = np.array(draws)
         # Prior is log-normal(0, 2): median exp(0) = 1.
@@ -358,7 +337,7 @@ class TestUpdatePrecisions:
 
 
 class TestVectorisedMetropolis:
-    """The beta and psi steps propose for every component in one call; given
+    """The regression block proposes for every component in one call; given
     z the components must still move independently, each on its own
     conditional."""
 
@@ -385,18 +364,13 @@ class TestVectorisedMetropolis:
     def test_zero_scale_component_frozen_among_moving_ones(self, rng):
         data, _, state = self._three_components()
         spec = ModelSpec("nb", k_max=3)
-        beta_scales = np.array([[0.05, 0.05], [0.0, 0.0], [0.1, 0.1]])
-        psi_scales = np.array([0.3, 0.0, 0.3])
+        scales = np.array([[0.05, 0.05, 0.3], [0.0, 0.0, 0.0], [0.1, 0.1, 0.3]])
         frozen_beta, frozen_psi = state.beta[1].copy(), state.psi[1]
         start = copy.deepcopy(state)
         for _ in range(50):
-            counts, table = sweep_shared(state, data)
-            flags_b, eta, cur = update_coefficients(state, data, spec, counts, beta_scales, rng)
-            flags_p = update_precisions(state, data, spec, counts, table, eta, cur,
-                                        psi_scales, rng)
-            np.testing.assert_array_equal(flags_b[1], True)
-            assert flags_p[1]
-            assert flags_b.dtype == flags_p.dtype == bool
+            flags = update_regressions(state, data, spec, *sweep_shared(state, data), scales, rng)
+            np.testing.assert_array_equal(flags[1], True)
+            assert flags.dtype == bool
         np.testing.assert_array_equal(state.beta[1], frozen_beta)
         assert state.psi[1] == pytest.approx(frozen_psi, rel=1e-14)
         assert np.all(state.beta[0] != start.beta[0])
@@ -423,21 +397,25 @@ class TestVectorisedMetropolis:
 
         draws, burn = 50000, 2000
         rng = np.random.default_rng(7)
-        beta_scales = np.array([[0.0, 2.4 * _grid_sd(grid_b, logd_b)], [0.05, 0.05], [0.1, 0.1]])
+        # The slope half freezes every ln psi and the ln psi half every beta, as
+        # the oracles hold them fixed; empty component 2 is refreshed either way.
+        scales = np.array([[0.0, 2.4 * _grid_sd(grid_b, logd_b), 0.0], [0.05, 0.05, 0.0],
+                           [0.1, 0.1, 0.0]])
         slope = np.empty(draws)
-        counts = np.bincount(state.z, minlength=3)
+        counts, table = sweep_shared(state, data)
         for it in range(burn + draws):
-            update_coefficients(state, data, spec, counts, beta_scales, rng)
+            update_regressions(state, data, spec, counts, table, scales, rng)
             if it >= burn:
                 slope[it - burn] = state.beta[0, 1]
         assert state.beta[1, 0] != math.log(30.0)
 
         state.beta[0] = [b0, 0.4]
         rng = np.random.default_rng(8)
-        psi_scales = np.array([2.4 * _grid_sd(grid_lp, logd_lp), 0.3, 0.3])
+        scales = np.array([[0.0, 0.0, 2.4 * _grid_sd(grid_lp, logd_lp)], [0.0, 0.0, 0.3],
+                           [0.0, 0.0, 0.3]])
         log_psi = np.empty(draws)
         for it in range(burn + draws):
-            update_precisions(state, data, spec, *psi_step_inputs(state, data), psi_scales, rng)
+            update_regressions(state, data, spec, counts, table, scales, rng)
             if it >= burn:
                 log_psi[it - burn] = math.log(state.psi[0])
         assert state.psi[1] != 10.0
@@ -447,7 +425,7 @@ class TestVectorisedMetropolis:
     def test_matches_loop_that_drops_structural_zeros(self):
         # A per-component loop over negbin_log_pmf that leaves out the rows
         # with w = 1, drawing the same random numbers, must take every
-        # accept/reject decision the vectorised steps take.  The zinb state
+        # accept/reject decision the vectorised block takes.  The zinb state
         # has a clamped component, one of structural zeros only (walked on
         # its prior) and an empty one (refreshed from the prior).
         def loglik(data, idx, beta_k, psi_k):
@@ -505,13 +483,11 @@ class TestVectorisedMetropolis:
         for it in range(100):
             rng_vec, rng_ref = np.random.default_rng(it), np.random.default_rng(it)
             counts, table = sweep_shared(vec, data)
-            flags_b, eta, cur = update_coefficients(vec, data, spec, counts, scales_b, rng_vec)
-            flags_vec = (flags_b, update_precisions(vec, data, spec, counts, table, eta, cur,
-                                                    scales_p, rng_vec))
-            flags_ref = reference(ref, data, spec, scales_b, scales_p, rng_ref)
+            flags_vec = update_regressions(vec, data, spec, counts, table,
+                                           np.column_stack([scales_b, scales_p]), rng_vec)
+            flags_ref = np.column_stack(reference(ref, data, spec, scales_b, scales_p, rng_ref))
             # An empty component's flags are not trials; its state is compared below.
-            for a, b in zip(flags_vec, flags_ref):
-                np.testing.assert_array_equal(a[counts > 0], b[counts > 0])
+            np.testing.assert_array_equal(flags_vec[counts > 0], flags_ref[counts > 0])
             np.testing.assert_allclose(vec.beta, ref.beta, rtol=0, atol=1e-12)
             np.testing.assert_allclose(vec.psi, ref.psi, rtol=1e-12)
 
@@ -732,6 +708,29 @@ class TestRunChain:
             rates = (flags & live).sum(axis=0) / trials
         np.testing.assert_array_equal(trace.accept_rates["beta"], rates[:, :-1])
         np.testing.assert_array_equal(trace.accept_rates["psi"], rates[:, -1])
+
+    @pytest.mark.parametrize("block", ["update_weights", "update_regressions"])
+    def test_non_finite_state_names_the_sweep_and_chain(self, two_component_truth, block,
+                                                        monkeypatch):
+        # The block writes a NaN into c or psi at sweep 25, after burn-in.
+        data = _truth_data(two_component_truth, 100)
+        fn, calls = getattr(sampler, block), []
+
+        def poisoned(*args):
+            out = fn(*args)
+            calls.append(args)
+            if len(calls) == 25:
+                if block == "update_weights":
+                    out = np.full_like(out, np.nan)      # sweep stores it as c
+                else:
+                    args[0].psi[0] = np.nan
+            return out
+
+        monkeypatch.setattr(sampler, block, poisoned)
+        cfg = SamplerConfig(iterations=40, burn_in=20, chains=1, master_seed=42)
+        with pytest.raises(SamplerError, match=r"at sweep 25 \(chain 1\)"):
+            run_chain(ModelSpec("nb", k_max=3), data, cfg, chain_id=1)
+        assert len(calls) == 25
 
     def test_zinb_states_valid(self):
         data, _ = generate_synthetic([1.0], [[math.log(6.0)]], [4.0], 300, [],
