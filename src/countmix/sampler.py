@@ -411,8 +411,10 @@ def run_chains(spec: ModelSpec, data: Dataset, config: SamplerConfig,
                parallel: bool = True) -> list[Trace]:
     """Run all configured chains; item i is chain i, identical to a sequential run."""
     chain_ids = range(config.chains)
-    if parallel and config.chains > 1:
-        workers = min(config.chains, os.cpu_count() or 1)
+    # The CPUs this process may run on: the affinity mask, where the OS has one.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(config.chains, cpus or 1)
+    if parallel and workers > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(run_chain, repeat(spec), repeat(data), repeat(config),

@@ -20,6 +20,8 @@ from countmix.model import (
 )
 from conftest import current_table, sweep_shared
 from countmix import sampler
+from countmix.cli import DEMO_TRUTH
+from countmix.distributions import _log_gamma_raw
 from countmix.sampler import (
     SamplerConfig,
     SamplerError,
@@ -661,6 +663,31 @@ class TestRunChain:
         cells = sum(np.size(psi) * (d.y_unique.size + 1) for (d, psi), _ in calls)
         assert cells == (20 + 1) * k * (data.y_unique.size + 1)
 
+    @pytest.mark.parametrize("counts", ["demo-800", "one-large-count"])
+    def test_lanczos_series_only_where_the_counts_are_sparse(self, counts, monkeypatch):
+        # 800 rows of the demo truth have dense counts, so every table sums
+        # logs; one count of 300 000 among 59 Poisson(5) rows leaves them
+        # sparse, so every table calls the series once.  Dataset's own call,
+        # for ln Gamma(y + 1), comes before the spy.
+        if counts == "demo-800":
+            truth = DEMO_TRUTH
+            data, _ = generate_synthetic(
+                truth["weights"], truth["beta"], truth["psi"], 800,
+                [CovariateColumn(*col) for col in truth["covariates"]], seed=truth["seed"])
+        else:
+            y = np.append(np.random.default_rng(3).poisson(5.0, size=59), 300_000)
+            data = Dataset(y=y, X=np.ones((60, 1)), column_names=("intercept",))
+        calls = []
+
+        def spy(x):
+            calls.append(x.shape)
+            return _log_gamma_raw(x)
+
+        monkeypatch.setattr("countmix.model._log_gamma_raw", spy)
+        cfg = SamplerConfig(iterations=20, burn_in=10, chains=1, master_seed=42)
+        run_chain(ModelSpec("nb", k_max=3), data, cfg, chain_id=0)
+        assert len(calls) == (0 if counts == "demo-800" else 20 + 1)
+
     @pytest.mark.parametrize("model", ["nb", "zinb"])
     def test_carried_table_is_the_current_psis_after_every_sweep(self, two_component_truth,
                                                                  model, monkeypatch):
@@ -780,6 +807,26 @@ class TestRunChains:
         fallback = run_chains(self.SPEC, data, self.CFG, parallel=True)
         seq = run_chains(self.SPEC, data, self.CFG, parallel=False)
         np.testing.assert_equal([vars(t) for t in fallback], [vars(t) for t in seq])
+
+    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity-mask", "cpu-count"])
+    def test_one_usable_cpu_runs_the_chains_in_this_process(self, two_component_truth,
+                                                            affinity, monkeypatch):
+        # Two CPUs on the machine, but the process may run on one of them.
+        def pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} was started for one CPU")
+
+        monkeypatch.setattr(sampler, "ProcessPoolExecutor", pool)
+        if affinity:
+            monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: {0},
+                                raising=False)
+            monkeypatch.setattr(sampler.os, "cpu_count", lambda: 2)
+        else:
+            monkeypatch.delattr(sampler.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(sampler.os, "cpu_count", lambda: 1)
+        data = _truth_data(two_component_truth, 150)
+        traces = run_chains(self.SPEC, data, self.CFG, parallel=True)
+        seq = run_chains(self.SPEC, data, self.CFG, parallel=False)
+        np.testing.assert_equal([vars(t) for t in traces], [vars(t) for t in seq])
 
     def test_single_chain_matches_run_chain(self, two_component_truth):
         data = _truth_data(two_component_truth, 150)
