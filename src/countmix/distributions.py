@@ -2,9 +2,8 @@
 
 ``_log_gamma_raw`` is ln Gamma as a Lanczos series, so the core library
 needs nothing beyond numpy.  It takes a positive float array and checks
-nothing; ``model`` calls it for ln Gamma(y + 1) once per dataset, and in
-``_nb_table`` for ln Gamma(y + psi) - ln Gamma(psi) where the counts are
-sparse (see ``model._DENSE_COUNTS``); elsewhere that table sums logs.
+nothing; ``model`` calls it for ln Gamma(y + 1) once per dataset
+(``_nb_table`` sums logs for ln Gamma(y + psi) - ln Gamma(psi)).
 ``sample_negbin`` draws the counts of ``generate_synthetic``; the sampler
 takes its Dirichlet and Beta draws from numpy directly.
 """

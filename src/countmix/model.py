@@ -26,10 +26,6 @@ __all__ = [
 # MCMC wandering cannot produce inf/NaN means.  Clamped cells are not counted.
 LINPRED_CLAMP = 50.0
 
-# ``_nb_table`` sums ln(psi + j) over j < y_max where y_max is at most this many
-# times the number of unique counts; measured, that costs less than Lanczos there.
-_DENSE_COUNTS = 8
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -64,8 +60,8 @@ class Dataset:
     """Immutable design matrix plus count outcome.
 
     Column 0 of X is the intercept (all ones).  Caches the unique-count
-    decomposition of y, ln Gamma(y+1) per unique count and whether the counts
-    are dense (see _DENSE_COUNTS), which the NB kernel reuses every sweep.
+    decomposition of y and ln Gamma(y+1) per unique count, which the NB
+    kernel reuses every sweep.
     """
 
     def __init__(self, y, X, column_names):
@@ -91,7 +87,6 @@ class Dataset:
         self.y_unique, self.y_inverse = np.unique(self.y, return_inverse=True)
         self._yf = self.y.astype(float)
         self.log_gamma_y1 = _log_gamma_raw(self.y_unique + 1.0)
-        self._dense = bool(self.y_unique[-1] <= _DENSE_COUNTS * self.y_unique.size)
         self.zero_mask = self.y == 0
 
     @property
@@ -122,22 +117,16 @@ def _nb_table(data: Dataset, psi) -> np.ndarray:
     ``data.y_unique``, of shape psi.shape + data.y_unique.shape.  With
     ``_nb_eta_terms`` it is the NB log pmf, read per row at data.y_inverse:
     ``_nb_table(data, psi)[..., data.y_inverse] + _nb_eta_terms(y, eta, psi)``.
-    Where the counts are dense it sums ln(psi + j) over j < y, and elsewhere
-    it takes the difference of two Lanczos ln Gammas.
+    It sums logs over every count 0 .. y_max, so its time and memory grow
+    with psi.size x y_max, however few the unique counts are.
     """
     psi = np.asarray(psi, dtype=float)[..., np.newaxis]
-    if data._dense:
-        # For integer y, ln Gamma(y + psi) - ln Gamma(psi) = sum_{j<y} ln(psi + j);
-        # column 0 holds y = 0's empty sum.
-        lg = np.zeros(psi.shape[:-1] + (data.y_unique[-1] + 1,))
-        terms = np.add(psi, np.arange(lg.shape[-1] - 1.0), out=lg[..., 1:])
-        np.cumsum(np.log(terms, out=terms), axis=-1, out=terms)
-        lg = lg.take(data.y_unique, axis=-1)
-    else:
-        # One ln Gamma call: the appended y = 0 gives ln Gamma(psi) in the last column.
-        lg = _log_gamma_raw(np.append(data.y_unique, 0.0) + psi)
-        lg = lg[..., :-1] - lg[..., -1:]
-    return lg - data.log_gamma_y1 + psi * np.log(psi)
+    # For integer y, ln Gamma(y + psi) - ln Gamma(psi) = sum_{j<y} ln(psi + j);
+    # column 0 holds y = 0's empty sum.
+    lg = np.zeros(psi.shape[:-1] + (data.y_unique[-1] + 1,))
+    terms = np.add(psi, np.arange(lg.shape[-1] - 1.0), out=lg[..., 1:])
+    np.cumsum(np.log(terms, out=terms), axis=-1, out=terms)
+    return lg.take(data.y_unique, axis=-1) - data.log_gamma_y1 + psi * np.log(psi)
 
 
 def _nb_eta_terms(yf, eta, psi, out=None, work=None) -> np.ndarray:

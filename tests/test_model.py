@@ -8,14 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from countmix import model
 from countmix.model import (
     CovariateColumn,
     Dataset,
     LINPRED_CLAMP,
     ModelSpec,
     ParamState,
-    _DENSE_COUNTS,
     _log_pmf,
     _nb_table,
     generate_synthetic,
@@ -182,56 +180,29 @@ class TestCompleteLogLikelihood:
 
 
 class TestNbTable:
-    """``_nb_table`` by either rule: the cumulative sum of ln(psi + j) where the
-    counts are dense, the Lanczos difference where they are not."""
+    """``_nb_table`` sums ln(psi + j) over j < y for ln Gamma(y + psi) - ln Gamma(psi)."""
 
     PSI = np.array([1e-3, 0.1, 1.0, 10.0, 150.0, 1e4, 1e6])
-    # 2500 unique counts up to _DENSE_COUNTS * 2500 = 20000, the largest y_max
-    # the dense rule admits for that many unique counts.
-    UNIQUE = 2500
+    # Every count to 11, then 40 counts up to 300 000, the large count of the
+    # README's known limitation.
+    Y = np.unique(np.r_[np.arange(12), np.geomspace(12, 300_000, 40).round()])
     # Each cell lies within BOUND of its exact value, relative to the sum of
-    # the magnitudes of its four terms (or to 1, if that is less).  The
-    # log sums' error grows with y, to 3.3e-15 here; the series' is 5e-16.
-    BOUND = 1e-14
+    # the magnitudes of its four terms (or to 1, if that is less).  The sum's
+    # error grows with y; measured, 3.3e-15 up to y = 50 000 and 9.6e-15 at
+    # y = 300 000 (an absolute 1.3e-7).
+    BOUND = 2e-14
 
-    @staticmethod
-    def _data(dense, monkeypatch):
-        if not dense:
-            monkeypatch.setattr(model, "_DENSE_COUNTS", 0)
-        y = np.linspace(0, _DENSE_COUNTS * TestNbTable.UNIQUE, TestNbTable.UNIQUE).round()
-        data = Dataset(y=y, X=np.ones((y.size, 1)), column_names=("intercept",))
-        assert data.y_unique.size == TestNbTable.UNIQUE and data._dense == dense
-        return data
-
-    def _scale(self, y):
-        psi, y = self.PSI[:, np.newaxis], np.asarray(y, dtype=float)
-        return np.maximum(1.0, np.abs(gammaln(y + psi) - gammaln(psi)) + gammaln(y + 1.0)
-                          + np.abs(psi * np.log(psi)))
-
-    @pytest.mark.parametrize("dense", [True, False], ids=["log-sums", "lanczos"])
-    def test_matches_mpmath(self, dense, monkeypatch):
-        data = self._data(dense, monkeypatch)
-        cols = np.unique(np.r_[np.arange(12), np.linspace(0, data.y_unique.size - 1, 30)
-                               .round().astype(int)])
+    def test_matches_mpmath(self):
+        data = Dataset(y=self.Y, X=np.ones((self.Y.size, 1)), column_names=("intercept",))
         with mpmath.workdps(40):
             exact = np.array([[float(mpmath.loggamma(int(y) + mpmath.mpf(p)) - mpmath.loggamma(p)
                                      - mpmath.loggamma(int(y) + 1) + p * mpmath.log(p))
-                               for y in data.y_unique[cols]] for p in self.PSI])
-        err = np.abs(_nb_table(data, self.PSI)[:, cols] - exact)
-        assert np.all(err <= self.BOUND * self._scale(data.y_unique[cols]))
-
-    def test_rules_agree(self, monkeypatch):
-        dense = _nb_table(self._data(True, monkeypatch), self.PSI)
-        data = self._data(False, monkeypatch)
-        diff = np.abs(dense - _nb_table(data, self.PSI))
-        assert np.all(diff <= 2 * self.BOUND * self._scale(data.y_unique))
-
-    def test_rule_is_decided_by_the_counts(self):
-        def dense(y):
-            return Dataset(y=y, X=np.ones((len(y), 1)), column_names=("intercept",))._dense
-
-        assert dense([0, 0, 0]) and dense([5]) and dense([0, 7, 16])
-        assert not dense([0, 17]) and not dense(list(range(59)) + [300_000])
+                               for y in self.Y] for p in self.PSI])
+        psi = self.PSI[:, np.newaxis]
+        scale = np.maximum(1.0, np.abs(gammaln(self.Y + psi) - gammaln(psi))
+                           + gammaln(self.Y + 1.0) + np.abs(psi * np.log(psi)))
+        err = np.abs(_nb_table(data, self.PSI) - exact)
+        assert np.all(err <= self.BOUND * scale)
 
     def test_shape_follows_psi(self, small_dataset):
         u = small_dataset.y_unique.size
