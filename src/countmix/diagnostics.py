@@ -157,7 +157,7 @@ def _pooled(traces, budget: int | None = None):
 def _state_log_pmfs(data: Dataset, beta, psi, pi):
     """Yield each state's K x data.n log pmf through the sweep's kernel, into
     one work array: each must be used before the next is drawn."""
-    work = np.empty((2, beta.shape[1], data.n))
+    work = np.empty((3, beta.shape[1], data.n))
     for s in range(len(beta)):
         table = _nb_table(data, psi[s])
         yield _log_pmf(data, table, beta[s], psi[s], None if pi is None else pi[s], work=work)
@@ -168,7 +168,9 @@ def hard_assignments(traces, data: Dataset) -> np.ndarray:
 
     Responsibilities are recomputed from (c, beta, psi[, pi]) on
     HARD_ASSIGNMENT_STATES states strided over the chains pooled in list
-    order, through the sweep's kernel; ties go to the lower index.
+    order, through the sweep's kernel and weighting (``_to_weights``, which
+    counts a weight below e^-700 of its row's largest as 0); ties go to the
+    lower index.
     """
     c, beta, psi, pi = _pooled(traces, HARD_ASSIGNMENT_STATES)
     total = np.zeros((c.shape[1], data.n))

@@ -61,7 +61,8 @@ class Dataset:
 
     Column 0 of X is the intercept (all ones).  Caches the unique-count
     decomposition of y and ln Gamma(y+1) per unique count, which the NB
-    kernel reuses every sweep.
+    kernel reuses every sweep, and a contiguous copy XT of X^T, whose rows
+    the linear predictors are formed from.
     """
 
     def __init__(self, y, X, column_names):
@@ -83,6 +84,8 @@ class Dataset:
         self.y.setflags(write=False)
         self.X = X
         self.X.setflags(write=False)
+        self.XT = np.ascontiguousarray(X.T)
+        self.XT.setflags(write=False)
         self.column_names = tuple(column_names)
         self.y_unique, self.y_inverse = np.unique(self.y, return_inverse=True)
         self._yf = self.y.astype(float)
@@ -157,14 +160,18 @@ def _log_pmf(data: Dataset, table, beta, psi, pi, rows=slice(None), work=None) -
     when pi is not None.  The sweep passes either its occupied components
     and all rows, or all components and a few rows; ``hard_assignments``
     and the predictive pmf pass all components and all rows.
-    work, if given, is a (2, K, len(rows)) float array that the call fills
-    instead of allocating; the result is then work[0].
+    work, if given, is a (3, K, len(rows)) float array that the call fills
+    instead of allocating: the result is work[0], and work[1] and work[2]
+    keep the linear predictors x_n . beta_k and their ``_nb_eta_terms``,
+    which the sweep hands on to ``update_regressions``.
     """
-    ll, tmp = (None, None) if work is None else work
-    ll = np.matmul(beta, data.X[rows].T, out=ll)
-    _nb_eta_terms(data._yf[rows], ll, psi[:, np.newaxis], out=ll, work=tmp)
-    # mode="clip" lets take write into tmp unbuffered; every index is in range.
-    ll += np.take(table, data.y_inverse[rows], axis=1, out=tmp, mode="clip")
+    xt = data.XT[:, rows]
+    ll, eta, terms = np.empty((3, len(beta), xt.shape[1])) if work is None else work
+    np.matmul(beta, xt, out=eta)
+    _nb_eta_terms(data._yf[rows], eta, psi[:, np.newaxis], out=terms, work=ll)
+    # mode="clip" lets take write into ll unbuffered; every index is in range.
+    np.take(table, data.y_inverse[rows], axis=1, out=ll, mode="clip")
+    ll += terms
     if pi is not None:
         with np.errstate(divide="ignore"):
             log_pi = np.log(pi)[:, np.newaxis]

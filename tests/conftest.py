@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from countmix.model import CovariateColumn, Dataset, _nb_table
+from countmix.model import CovariateColumn, Dataset, _nb_eta_terms, _nb_table
 
 # One line per acceptance criterion, printed in the terminal summary so the
 # pass/fail verdicts survive pytest's output capture.
@@ -31,6 +31,13 @@ def current_table(state, data):
 def sweep_shared(state, data):
     """The rows per component and current psi's table, as ``sampler.sweep`` hands them on."""
     return np.bincount(state.z, minlength=state.c.size), current_table(state, data)
+
+
+def handoff(state, data):
+    """Each row's linear predictor x_n . beta_{z_n} and its ``_nb_eta_terms``, the
+    pair ``sampler.update_assignments`` hands to ``update_regressions``."""
+    eta = np.matmul(state.beta, data.XT).take(state.z * data.n + np.arange(data.n))
+    return eta, _nb_eta_terms(data._yf, eta, state.psi.take(state.z))
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import current_table, record_criterion
+from conftest import current_table, handoff, record_criterion
 from countmix.cli import (
     DEMO_TRUTH,
     DEMO_TRUTH_ZINB,
@@ -159,7 +159,8 @@ def test_criterion_3_grid_quadrature_oracles():
     counts, table = np.bincount(z, minlength=1), current_table(state, data)
     samples_b = np.empty(draws)
     for it in range(burn + draws):
-        update_regressions(state, data, spec, counts, table, scales, rng)
+        update_regressions(state, data, spec, counts, table, *handoff(state, data), scales,
+                           rng)
         if it >= burn:
             samples_b[it - burn] = state.beta[0, 1]
     ks_b = _ks_against_grid(samples_b, grid_b, logd_b)
@@ -185,7 +186,8 @@ def test_criterion_3_grid_quadrature_oracles():
     table = current_table(state, data)
     samples_p = np.empty(draws)
     for it in range(burn + draws):
-        update_regressions(state, data, spec, counts, table, scales, rng)
+        update_regressions(state, data, spec, counts, table, *handoff(state, data), scales,
+                           rng)
         if it >= burn:
             samples_p[it - burn] = state.psi[0]
     ks_p = _ks_against_grid(samples_p, grid_p, logd_p)

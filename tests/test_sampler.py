@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
@@ -18,8 +18,8 @@ from countmix.model import (
     _nb_table,
     generate_synthetic,
 )
-from conftest import current_table, sweep_shared
-from countmix import sampler
+from conftest import current_table, handoff, sweep_shared
+from countmix import model, sampler
 from countmix.cli import DEMO_TRUTH
 from countmix.distributions import _log_gamma_raw
 from countmix.sampler import (
@@ -27,6 +27,7 @@ from countmix.sampler import (
     SamplerError,
     _cumsum_rows,
     _occupancy_weighted_rate,
+    _pick,
     _to_weights,
     run_chain,
     run_chains,
@@ -77,15 +78,15 @@ def responsibilities(state, data):
     return (log_r / log_r.sum(axis=0)).T
 
 
-def _spy(monkeypatch, name):
-    """Wrap sampler.<name>; returns the list of (args, result) of the calls it sees."""
-    calls, fn = [], getattr(sampler, name)
+def _spy(monkeypatch, name, module=sampler):
+    """Wrap module.<name>; returns the list of (args, result) of the calls it sees."""
+    calls, fn = [], getattr(module, name)
 
     def spy(*args, **kwargs):
         calls.append((args, fn(*args, **kwargs)))
         return calls[-1][1]
 
-    monkeypatch.setattr(sampler, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
 
 
@@ -134,7 +135,8 @@ class TestUpdateAssignments:
                            beta=[[1.0, 0.0], [1.0, 0.0]], psi=[2.0, 2.0])
         counts = np.zeros(2)
         for _ in range(200):
-            z = update_assignments(state, small_dataset, current_table(state, small_dataset), rng)
+            z, _, _ = update_assignments(state, small_dataset, current_table(state, small_dataset),
+                                         rng)
             counts += np.bincount(z, minlength=2)
         total = counts.sum()
         se = math.sqrt(0.25 * 0.75 / total)
@@ -174,7 +176,7 @@ class TestUpdateAssignments:
         counts = np.zeros((6, 4))
         for _ in range(self.ORACLE_DRAWS // reps):
             state.z = np.tile(self.ORACLE_Z, reps)
-            z = update_assignments(state, data, current_table(state, data), rng).reshape(reps, 6)
+            z = update_assignments(state, data, current_table(state, data), rng)[0].reshape(reps, 6)
             assert np.all((z >= 0) & (z < 4))
             for k in range(4):
                 counts[:, k] += (z == k).sum(axis=0)
@@ -196,13 +198,14 @@ class TestUpdateAssignments:
         state.c = np.array([0.4, 0.6, 0.0])
         for _ in range(200):
             state.z = np.arange(small_dataset.n) % 2
-            z = update_assignments(state, small_dataset, current_table(state, small_dataset), rng)
+            z, _, _ = update_assignments(state, small_dataset, current_table(state, small_dataset),
+                                         rng)
             assert np.all(z < 2)
         assert self._envelope_rows(calls) == []
 
     def test_single_slot(self, small_dataset, rng):
         state = _state_for(small_dataset, 1, beta=[[1.0, 0.2]])
-        z = update_assignments(state, small_dataset, current_table(state, small_dataset), rng)
+        z, _, _ = update_assignments(state, small_dataset, current_table(state, small_dataset), rng)
         np.testing.assert_array_equal(z, 0)
 
     def test_underflowed_occupied_weights_draw_exactly(self, rng):
@@ -216,7 +219,7 @@ class TestUpdateAssignments:
         z = np.empty(4000, dtype=int)
         for i in range(z.size):
             state.z[:] = 0
-            z[i] = update_assignments(state, data, current_table(state, data), rng)[0]
+            z[i] = update_assignments(state, data, current_table(state, data), rng)[0][0]
         assert set(np.unique(z)) == {2, 3}
         share = np.mean(z == 2)
         assert abs(share - 0.25 / 0.45) < 4 * math.sqrt(share * (1 - share) / z.size)
@@ -224,7 +227,7 @@ class TestUpdateAssignments:
         state.beta[3, 0] = 35.0
         for _ in range(200):
             state.z[:] = 0
-            assert update_assignments(state, data, current_table(state, data), rng)[0] == 2
+            assert update_assignments(state, data, current_table(state, data), rng)[0][0] == 2
 
     def test_nonfinite_occupied_weights_raise(self, small_dataset, rng):
         state = _state_for(small_dataset, 3, beta=[[np.nan, 0.0], [1.0, 0.0], [1.0, 0.0]])
@@ -243,6 +246,80 @@ class TestCumsumRows:
         out = _cumsum_rows(w)
         assert out is w
         np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
+
+
+class TestToWeights:
+    # Scaled lanes at and next to the -700 cut, and below it in numpy's slow range.
+    EDGES = (0.0, -700.0, np.nextafter(-700.0, 0.0), np.nextafter(-700.0, -np.inf), -708.5,
+             -745.2, -800.0)
+
+    @staticmethod
+    def _check(log_pmf, log_c, floor=-np.inf):
+        scaled = log_pmf + log_c[:, np.newaxis]
+        top = scaled.max(axis=0, initial=floor)
+        scaled -= top
+        w = log_pmf.copy()
+        np.testing.assert_array_equal(_to_weights(w, log_c, floor), top)
+        kept = scaled >= -700.0
+        np.testing.assert_array_equal(w[kept].view(np.int64),
+                                      np.exp(scaled[kept]).view(np.int64))
+        np.testing.assert_array_equal(w[~kept].view(np.int64), 0)     # +0.0
+        assert np.all(w[np.isneginf(log_c)] == 0.0)
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 40)),
+                  elements=st.one_of(st.sampled_from(EDGES), st.floats(-2000.0, 0.0))),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_exp_at_or_above_minus_700_and_zero_below(self, log_pmf, data):
+        k = log_pmf.shape[0]
+        log_c = data.draw(arrays(np.float64, k, elements=st.one_of(
+            st.just(-np.inf), st.just(0.0), st.floats(-50.0, 0.0))))
+        assume(np.isfinite(log_c).any())
+        floor = data.draw(st.one_of(st.just(-np.inf), st.floats(-100.0, 0.0)))
+        self._check(log_pmf, log_c, floor)
+
+    def test_lanes_at_the_cut(self):
+        # Column 0's top is 0, so each scaled lane is its log pmf exactly;
+        # slot 2 has c_k = 0.
+        log_pmf = np.zeros((3, len(self.EDGES)))
+        log_pmf[1] = self.EDGES
+        self._check(log_pmf, np.array([0.0, 0.0, -np.inf]))
+
+
+class TestPick:
+    @staticmethod
+    def _nextafter_formula(cum, total, u):
+        return np.count_nonzero(np.minimum(u * total, np.nextafter(total, 0.0)) >= cum, axis=0)
+
+    # u = 1 - 2^-53 is the largest value rng.random returns.
+    U_MAX = 1.0 - 2.0 ** -53
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 40)),
+                  elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_nextafter_formula_bit_for_bit(self, w, data):
+        cum = np.cumsum(w, axis=0)
+        n = w.shape[1]
+        extra = data.draw(arrays(np.float64, n, elements=st.one_of(st.just(0.0),
+                                                                   st.floats(0.0, 1.0))))
+        u = data.draw(arrays(np.float64, n, elements=st.one_of(
+            st.just(0.0), st.just(self.U_MAX), st.floats(0.0, 1.0, exclude_max=True))))
+        total = cum[-1] + extra
+        np.testing.assert_array_equal(_pick(cum, total, u), self._nextafter_formula(cum, total, u))
+
+    def test_u_times_total_rounding_up_to_total(self):
+        # For a normal total, U_MAX * total stays below total (1.5 included);
+        # for a subnormal one it rounds up to total, and the last cell of
+        # zero mass must still not be drawn.
+        total = np.array([1.5, 1.0, 5e-324, 3 * 5e-324])
+        rounds_up = self.U_MAX * total >= total
+        np.testing.assert_array_equal(rounds_up, [False, False, True, True])
+        cum = np.stack([total / 2, total, total])        # cells: half, half, zero mass
+        u = np.full(total.size, self.U_MAX)
+        picks = _pick(cum, total, u)
+        np.testing.assert_array_equal(picks, self._nextafter_formula(cum, total, u))
+        assert np.all(picks < 2)
 
 
 class TestUpdateWeights:
@@ -291,7 +368,7 @@ class TestUpdateCoefficients:
         state = _state_for(small_dataset, 1, beta=[[1.5, -0.2]])
         before = state.beta.copy()
         flags = update_regressions(state, small_dataset, spec, *sweep_shared(state, small_dataset),
-                                   np.zeros((1, 3)), rng)
+                                   *handoff(state, small_dataset), np.zeros((1, 3)), rng)
         np.testing.assert_array_equal(state.beta, before)
         # Zero step means the proposal equals the current point: ratio 1.
         assert np.all(flags == 1.0)
@@ -303,7 +380,8 @@ class TestUpdateCoefficients:
             state = _state_for(small_dataset, 2)
             state.z[:] = 0  # component 1 empty
             update_regressions(state, small_dataset, spec, *sweep_shared(state, small_dataset),
-                               np.array([[0.1, 0.1, 0.0]] * 2), rng)
+                               *handoff(state, small_dataset), np.array([[0.1, 0.1, 0.0]] * 2),
+                               rng)
             draws.append(state.beta[1].copy())
         draws = np.array(draws)
         se_mean = 10.0 / math.sqrt(draws.shape[0])
@@ -316,7 +394,7 @@ class TestUpdatePrecisions:
         spec = ModelSpec("nb", k_max=1)
         state = _state_for(small_dataset, 1, psi=[3.0])
         flags = update_regressions(state, small_dataset, spec, *sweep_shared(state, small_dataset),
-                                   np.zeros((1, 3)), rng)
+                                   *handoff(state, small_dataset), np.zeros((1, 3)), rng)
         # exp(log(3) + 0) round-trips through log space
         assert state.psi[0] == pytest.approx(3.0, rel=1e-15)
         assert flags[0, 2]
@@ -328,7 +406,8 @@ class TestUpdatePrecisions:
             state = _state_for(small_dataset, 2)
             state.z[:] = 0
             update_regressions(state, small_dataset, spec, *sweep_shared(state, small_dataset),
-                               np.array([[0.0, 0.0, 0.3]] * 2), rng)
+                               *handoff(state, small_dataset), np.array([[0.0, 0.0, 0.3]] * 2),
+                               rng)
             draws.append(state.psi[1])
         draws = np.array(draws)
         # Prior is log-normal(0, 2): median exp(0) = 1.
@@ -370,7 +449,8 @@ class TestVectorisedMetropolis:
         frozen_beta, frozen_psi = state.beta[1].copy(), state.psi[1]
         start = copy.deepcopy(state)
         for _ in range(50):
-            flags = update_regressions(state, data, spec, *sweep_shared(state, data), scales, rng)
+            flags = update_regressions(state, data, spec, *sweep_shared(state, data),
+                                       *handoff(state, data), scales, rng)
             np.testing.assert_array_equal(flags[1], True)
             assert flags.dtype == bool
         np.testing.assert_array_equal(state.beta[1], frozen_beta)
@@ -406,7 +486,8 @@ class TestVectorisedMetropolis:
         slope = np.empty(draws)
         counts, table = sweep_shared(state, data)
         for it in range(burn + draws):
-            update_regressions(state, data, spec, counts, table, scales, rng)
+            update_regressions(state, data, spec, counts, table, *handoff(state, data), scales,
+                               rng)
             if it >= burn:
                 slope[it - burn] = state.beta[0, 1]
         assert state.beta[1, 0] != math.log(30.0)
@@ -417,7 +498,8 @@ class TestVectorisedMetropolis:
                            [0.0, 0.0, 0.3]])
         log_psi = np.empty(draws)
         for it in range(burn + draws):
-            update_regressions(state, data, spec, counts, table, scales, rng)
+            update_regressions(state, data, spec, counts, table, *handoff(state, data), scales,
+                               rng)
             if it >= burn:
                 log_psi[it - burn] = math.log(state.psi[0])
         assert state.psi[1] != 10.0
@@ -485,7 +567,7 @@ class TestVectorisedMetropolis:
         for it in range(100):
             rng_vec, rng_ref = np.random.default_rng(it), np.random.default_rng(it)
             counts, table = sweep_shared(vec, data)
-            flags_vec = update_regressions(vec, data, spec, counts, table,
+            flags_vec = update_regressions(vec, data, spec, counts, table, *handoff(vec, data),
                                            np.column_stack([scales_b, scales_p]), rng_vec)
             flags_ref = np.column_stack(reference(ref, data, spec, scales_b, scales_p, rng_ref))
             # An empty component's flags are not trials; its state is compared below.
@@ -603,6 +685,40 @@ def _truth_data(truth, n):
     """n rows drawn from the two-component truth at seed 8."""
     return generate_synthetic(truth["c"], truth["beta"], truth["psi"], n, truth["covariates"],
                               seed=8)[0]
+
+
+class TestHandoff:
+    """The assignment draw hands each row's linear predictor and NB terms at
+    its new component to the regression block, which forms no eta itself."""
+
+    @pytest.mark.parametrize("variant", ["nb", "zinb"])
+    def test_regressions_get_each_rows_eta_and_terms(self, two_component_truth, variant,
+                                                     monkeypatch):
+        # K_max = 6 over two true components leaves empty slots, so that rows
+        # are drawn into the envelope cell and take their pair from its pass.
+        data = _truth_data(two_component_truth, 200)
+        nb_eta_terms, regressions = model._nb_eta_terms, sampler.update_regressions
+
+        def check(state, data, spec, counts, table, eta, terms, scales, rng):
+            expected = np.einsum("nd,nd->n", data.X, state.beta[state.z])
+            np.testing.assert_allclose(eta, expected, rtol=1e-12)
+            expected = nb_eta_terms(data._yf, expected, state.psi[state.z])
+            np.testing.assert_allclose(terms, expected, rtol=1e-12)
+            return regressions(state, data, spec, counts, table, eta, terms, scales, rng)
+
+        monkeypatch.setattr(sampler, "update_regressions", check)
+        # _log_pmf calls model._nb_eta_terms; update_regressions calls sampler's import of it.
+        eta_terms = _spy(monkeypatch, "_nb_eta_terms", model), _spy(monkeypatch, "_nb_eta_terms")
+        log_pmf, to_weights = _spy(monkeypatch, "_log_pmf"), _spy(monkeypatch, "_to_weights")
+        sweeps = 60
+        cfg = SamplerConfig(iterations=sweeps, burn_in=30, chains=1, master_seed=42)
+        run_chain(ModelSpec(variant, k_max=6), data, cfg, chain_id=0)
+        # One _to_weights call per sweep on the occupied pass, and one more in
+        # each sweep that has envelope rows.
+        assert len(to_weights) > sweeps
+        # One call per _log_pmf pass, then D beta steps and one psi step per
+        # sweep: the current terms are handed on, not formed again.
+        assert sum(map(len, eta_terms)) == len(log_pmf) + (data.d + 1) * sweeps
 
 
 class TestRunChain:
