@@ -155,12 +155,11 @@ def _pooled(traces, budget: int | None = None):
 
 
 def _state_log_pmfs(data: Dataset, beta, psi, pi):
-    """Yield each state's K x data.n log pmf through the sweep's kernel, into
-    one work array: each must be used before the next is drawn."""
-    work = np.empty((3, beta.shape[1], data.n))
+    """Yield each state's K x data.n log pmf through the sweep's kernel, each
+    in an array of its own."""
     for s in range(len(beta)):
         table = _nb_table(data, psi[s])
-        yield _log_pmf(data, table, beta[s], psi[s], None if pi is None else pi[s], work=work)
+        yield _log_pmf(data, table, beta[s], psi[s], None if pi is None else pi[s])[0]
 
 
 def hard_assignments(traces, data: Dataset) -> np.ndarray:

@@ -11,9 +11,10 @@ chain.
 ``sweep`` runs the blocks in this order and counts the rows per component
 once, after the assignment draw.  The draw forms every row's linear
 predictor and NB terms under the occupied components (and the envelope
-rows' under all K), and hands each row's pair at its new component to the
-regression block, which keeps them current through its steps instead of
-forming them again.  The current psi's ``_nb_table`` is carried from sweep
+rows' under all K), and hands each row's pair at its new component on: the
+structural-zero draw reads ln NB(0 | z_n) off the terms, and the
+regression block keeps both current through its steps instead of forming
+them again.  The current psi's ``_nb_table`` is carried from sweep
 to sweep: ``run_chain`` builds it once, and the regression block, the only
 one that changes psi, rewrites the rows it changes.  That block returns
 boolean acceptances and refreshes empty components from the prior.
@@ -159,8 +160,7 @@ def _cumsum_rows(w: np.ndarray) -> np.ndarray:
 
 
 def update_assignments(state: ParamState, data: Dataset, table: np.ndarray,
-                       rng: np.random.Generator, work: np.ndarray | None = None
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw z_n ~ Categorical(r_n) for every observation, in place.
 
     The kernel runs on the occupied components only.  The empty ones share
@@ -176,34 +176,27 @@ def update_assignments(state: ParamState, data: Dataset, table: np.ndarray,
     Returns (z, eta, terms): each row's linear predictor x_n . beta_{z_n}
     and its ``_nb_eta_terms`` at its new component, read off the pass that
     drew it (the occupied components' or the envelope rows'), which
-    ``sweep`` hands to ``update_regressions``.  table is the current psi's
-    ``_nb_table`` over ``data.y_unique``.  work is a (3, K, N) float array
-    for the kernel's temporaries.  A chain passes the same one to every
-    ``sweep``, so they are not handed back to the operating system and
-    faulted in again.
+    ``sweep`` hands to ``update_zero_inflation`` and ``update_regressions``.
+    table is the current psi's ``_nb_table`` over ``data.y_unique``.
     """
     c, n = state.c, data.n
-    if work is None:
-        work = np.empty((3, c.shape[0], n))
     occupied = np.bincount(state.z, minlength=c.shape[0]) > 0
-    work = work[:, :np.count_nonzero(occupied)]
     pi = state.pi
     with np.errstate(divide="ignore"):
         log_c = np.log(c)
         log_c_env = np.log(c[~occupied].sum())
-    w = _log_pmf(data, table[occupied], state.beta[occupied], state.psi[occupied],
-                 None if pi is None else pi[occupied], work=work)
+    w, eta, terms = _log_pmf(data, table[occupied], state.beta[occupied], state.psi[occupied],
+                             None if pi is None else pi[occupied])
     top = _to_weights(w, log_c[occupied], floor=log_c_env)
     cum = _cumsum_rows(w)
     pick = _pick(cum, cum[-1] + np.exp(log_c_env - top), rng.random(n))
     z = np.flatnonzero(occupied).take(pick, mode="clip")
     # The envelope rows' picks are out of range; their pairs are set below.
     at = pick * n + np.arange(n)
-    eta, terms = work[1].take(at, mode="clip"), work[2].take(at, mode="clip")
+    eta, terms = eta.take(at, mode="clip"), terms.take(at, mode="clip")
     rows = np.flatnonzero(pick == cum.shape[0])        # drawn into the envelope cell
     if rows.size:
-        env = np.empty((3, c.shape[0], rows.size))
-        w = _log_pmf(data, table, state.beta, state.psi, pi, rows, work=env)
+        w, env_eta, env_terms = _log_pmf(data, table, state.beta, state.psi, pi, rows)
         row_top = _to_weights(w, log_c)
         u = rng.random((2, rows.size))
         # Keep an empty slot with probability T_E / c_E, compared in log
@@ -214,7 +207,7 @@ def update_assignments(state: ParamState, data: Dataset, table: np.ndarray,
         cum_r = _cumsum_rows(w)
         z[rows] = _pick(cum_r, cum_r[-1], u[1])
         at = z[rows] * rows.size + np.arange(rows.size)
-        eta[rows], terms[rows] = env[1].take(at), env[2].take(at)
+        eta[rows], terms[rows] = env_eta.take(at), env_terms.take(at)
     state.z = z
     return z, eta, terms
 
@@ -285,19 +278,21 @@ def update_regressions(state: ParamState, data: Dataset, spec: ModelSpec, counts
     return accept
 
 
-def update_zero_inflation(state: ParamState, data: Dataset, spec: ModelSpec, counts: np.ndarray,
-                          table: np.ndarray, rng: np.random.Generator):
+def update_zero_inflation(state: ParamState, data: Dataset, counts: np.ndarray,
+                          table: np.ndarray, terms: np.ndarray, rng: np.random.Generator):
     """Draw structural-zero indicators w and per-component pi, in place (zinb).
 
     Each pi_k has a Beta(1, 1) prior.  counts is the rows per component,
-    table the current psi's ``_nb_table``.
+    table the current psi's ``_nb_table`` and terms each row's
+    ``_nb_eta_terms`` at its component z_n, as ``update_assignments`` hands
+    them on, so ln NB(0 | z_n) is read off them rather than evaluated again.
     """
     w = np.zeros(data.n, dtype=np.int8)
     zero_idx = np.flatnonzero(data.zero_mask)
     if zero_idx.size:
         zk = state.z[zero_idx]
-        log_nb = _log_pmf(data, table, state.beta, state.psi, None, zero_idx)
-        log_nb0 = log_nb[zk, np.arange(zero_idx.size)]
+        # data.y_unique is sorted, so where a zero row exists column 0 is y = 0.
+        log_nb0 = table[zk, 0] + terms[zero_idx]
         pi_z = state.pi[zk]
         p1 = pi_z
         p0 = (1.0 - pi_z) * np.exp(log_nb0)
@@ -335,7 +330,7 @@ def _initial_state(data: Dataset, spec: ModelSpec, chain_id: int) -> ParamState:
 
 
 def sweep(state: ParamState, data: Dataset, spec: ModelSpec, table: np.ndarray,
-          scales: np.ndarray, rng: np.random.Generator, work: np.ndarray | None = None):
+          scales: np.ndarray, rng: np.random.Generator):
     """Update every block once, in place; returns (flags, counts).
 
     table is the current psi's ``_nb_table`` over ``data.y_unique``.  psi
@@ -345,15 +340,13 @@ def sweep(state: ParamState, data: Dataset, spec: ModelSpec, table: np.ndarray,
     and returns them.  counts is the rows per component after the assignment
     draw; the flags of a component with none are not trials.  Each row's
     linear predictor and ``_nb_eta_terms`` at its new component go from the
-    assignment draw, which computed them, to the regression block.  work is
-    a (3, K, N) float array for temporaries.
+    assignment draw, which computed them, to the regression block, and the
+    terms also to the structural-zero draw.
     """
-    k = spec.k_max
-    work = np.empty((3, k, data.n)) if work is None else work
-    _, eta, terms = update_assignments(state, data, table, rng, work)
-    counts = np.bincount(state.z, minlength=k)
+    _, eta, terms = update_assignments(state, data, table, rng)
+    counts = np.bincount(state.z, minlength=spec.k_max)
     if spec.zero_inflated:
-        update_zero_inflation(state, data, spec, counts, table, rng)
+        update_zero_inflation(state, data, counts, table, terms, rng)
     state.c = update_weights(counts, spec, rng)
     flags = update_regressions(state, data, spec, counts, table, eta, terms, scales, rng)
     return flags, counts
@@ -383,18 +376,16 @@ def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
     trials = np.zeros((k, d + 1))
 
     s_count = config.n_stored
-    stored_c = np.empty((s_count, k))
-    stored_beta = np.empty((s_count, k, d))
-    stored_psi = np.empty((s_count, k))
-    stored_counts = np.empty((s_count, k), dtype=np.int64)
-    stored_pi = np.empty((s_count, k)) if spec.zero_inflated else None
+    trace = Trace(c=np.empty((s_count, k)), beta=np.empty((s_count, k, d)),
+                  psi=np.empty((s_count, k)), counts=np.empty((s_count, k), dtype=np.int64),
+                  pi=np.empty((s_count, k)) if spec.zero_inflated else None,
+                  column_names=data.column_names)
 
     target = config.target_accept
-    work = np.empty((3, k, data.n))
     table = _nb_table(data, state.psi)
     s = 0
     for iteration in range(1, config.iterations + 1):
-        flags, counts = sweep(state, data, spec, table, np.exp(log_scale), rng, work)
+        flags, counts = sweep(state, data, spec, table, np.exp(log_scale), rng)
         live = (counts > 0)[:, np.newaxis]
         if iteration <= config.burn_in:
             log_scale += np.where(live, (flags - target) * iteration ** -0.6, 0.0)
@@ -405,29 +396,20 @@ def run_chain(spec: ModelSpec, data: Dataset, config: SamplerConfig,
             trials += live
             if (iteration - config.burn_in) % config.thin == 0:
                 _check_finite(state, iteration, chain_id)
-                stored_c[s] = state.c
-                stored_beta[s] = state.beta
-                stored_psi[s] = state.psi
-                stored_counts[s] = counts
-                if stored_pi is not None:
-                    stored_pi[s] = state.pi
+                trace.c[s], trace.beta[s], trace.psi[s] = state.c, state.beta, state.psi
+                trace.counts[s] = counts
+                if trace.pi is not None:
+                    trace.pi[s] = state.pi
                 s += 1
 
     rates = np.where(trials > 0, accepted / np.maximum(trials, 1), np.nan)
     rate_beta, rate_psi = rates[:, :d], rates[:, d]
     # Weighted here, where the rates and the counts still share labels.
-    mean_counts = stored_counts.mean(axis=0)
-    return Trace(
-        c=stored_c,
-        beta=stored_beta,
-        psi=stored_psi,
-        counts=stored_counts,
-        pi=stored_pi,
-        accept_rates={"beta": rate_beta, "psi": rate_psi,
-                      "beta_weighted": _occupancy_weighted_rate(rate_beta, mean_counts),
-                      "psi_weighted": _occupancy_weighted_rate(rate_psi, mean_counts)},
-        column_names=data.column_names,
-    )
+    mean_counts = trace.counts.mean(axis=0)
+    trace.accept_rates = {"beta": rate_beta, "psi": rate_psi,
+                          "beta_weighted": _occupancy_weighted_rate(rate_beta, mean_counts),
+                          "psi_weighted": _occupancy_weighted_rate(rate_psi, mean_counts)}
+    return trace
 
 
 def run_chains(spec: ModelSpec, data: Dataset, config: SamplerConfig,

@@ -29,8 +29,10 @@ def current_table(state, data):
 
 
 def sweep_shared(state, data):
-    """The rows per component and current psi's table, as ``sampler.sweep`` hands them on."""
-    return np.bincount(state.z, minlength=state.c.size), current_table(state, data)
+    """The rows per component, current psi's table and each row's hand-off NB
+    terms, as ``sampler.sweep`` hands them to ``update_zero_inflation``."""
+    return (np.bincount(state.z, minlength=state.c.size), current_table(state, data),
+            handoff(state, data)[1])
 
 
 def handoff(state, data):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from countmix.diagnostics import (
     HARD_ASSIGNMENT_STATES,
     DegenerateFitError,
+    _state_log_pmfs,
     component_summary,
     ess,
     hard_assignments,
@@ -21,6 +22,8 @@ from countmix.diagnostics import (
 from countmix.model import (
     Dataset,
     ModelSpec,
+    _log_pmf,
+    _nb_table,
     generate_synthetic,
 )
 from countmix.sampler import SamplerConfig, Trace, run_chain
@@ -334,6 +337,25 @@ class TestHardAssignments:
         assert np.all(top_two[:, 1] - top_two[:, 0] > 1e-9)   # no rounding-level ties
         assert len(np.unique(expected)) == k
         np.testing.assert_array_equal(hard_assignments(traces, data), expected)
+
+
+class TestStateLogPmfs:
+    @pytest.mark.parametrize("zinb", [False, True], ids=["nb", "zinb"])
+    def test_each_state_keeps_its_own_pmf(self, zinb):
+        # A pmf stays as it was when the next state's is drawn.
+        gen = np.random.default_rng(3)
+        n, s, k = 50, 5, 3
+        X = np.column_stack([np.ones(n), gen.standard_normal(n)])
+        data = Dataset(y=gen.poisson(4.0, n), X=X, column_names=("intercept", "x1"))
+        beta = gen.normal(1.0, 0.5, size=(s, k, 2))
+        psi = np.exp(gen.normal(1.0, 0.5, size=(s, k)))
+        pi = gen.uniform(0.05, 0.5, size=(s, k)) if zinb else None
+        pmfs = list(_state_log_pmfs(data, beta, psi, pi))
+        assert len(pmfs) == s
+        for t, pmf in enumerate(pmfs):
+            expected = _log_pmf(data, _nb_table(data, psi[t]), beta[t], psi[t],
+                                None if pi is None else pi[t])[0]
+            np.testing.assert_array_equal(pmf, expected)
 
 
 class TestComponentSummary:

@@ -96,7 +96,7 @@ def _random_state(rng, k, d, n, zinb=False):
 def complete_log_likelihood(state, data):
     """Sum over observations of the assigned component's kernel log pmf."""
     table = _nb_table(data, state.psi)
-    ll = _log_pmf(data, table, state.beta, state.psi, state.pi)
+    ll = _log_pmf(data, table, state.beta, state.psi, state.pi)[0]
     return float(ll[state.z, np.arange(data.n)].sum())
 
 

@@ -367,7 +367,8 @@ class TestUpdateCoefficients:
         spec = ModelSpec("nb", k_max=1)
         state = _state_for(small_dataset, 1, beta=[[1.5, -0.2]])
         before = state.beta.copy()
-        flags = update_regressions(state, small_dataset, spec, *sweep_shared(state, small_dataset),
+        flags = update_regressions(state, small_dataset, spec,
+                                   *sweep_shared(state, small_dataset)[:2],
                                    *handoff(state, small_dataset), np.zeros((1, 3)), rng)
         np.testing.assert_array_equal(state.beta, before)
         # Zero step means the proposal equals the current point: ratio 1.
@@ -379,7 +380,7 @@ class TestUpdateCoefficients:
         for _ in range(5000):
             state = _state_for(small_dataset, 2)
             state.z[:] = 0  # component 1 empty
-            update_regressions(state, small_dataset, spec, *sweep_shared(state, small_dataset),
+            update_regressions(state, small_dataset, spec, *sweep_shared(state, small_dataset)[:2],
                                *handoff(state, small_dataset), np.array([[0.1, 0.1, 0.0]] * 2),
                                rng)
             draws.append(state.beta[1].copy())
@@ -393,7 +394,8 @@ class TestUpdatePrecisions:
     def test_zero_scale_never_moves(self, small_dataset, rng):
         spec = ModelSpec("nb", k_max=1)
         state = _state_for(small_dataset, 1, psi=[3.0])
-        flags = update_regressions(state, small_dataset, spec, *sweep_shared(state, small_dataset),
+        flags = update_regressions(state, small_dataset, spec,
+                                   *sweep_shared(state, small_dataset)[:2],
                                    *handoff(state, small_dataset), np.zeros((1, 3)), rng)
         # exp(log(3) + 0) round-trips through log space
         assert state.psi[0] == pytest.approx(3.0, rel=1e-15)
@@ -405,7 +407,7 @@ class TestUpdatePrecisions:
         for _ in range(5000):
             state = _state_for(small_dataset, 2)
             state.z[:] = 0
-            update_regressions(state, small_dataset, spec, *sweep_shared(state, small_dataset),
+            update_regressions(state, small_dataset, spec, *sweep_shared(state, small_dataset)[:2],
                                *handoff(state, small_dataset), np.array([[0.0, 0.0, 0.3]] * 2),
                                rng)
             draws.append(state.psi[1])
@@ -449,7 +451,7 @@ class TestVectorisedMetropolis:
         frozen_beta, frozen_psi = state.beta[1].copy(), state.psi[1]
         start = copy.deepcopy(state)
         for _ in range(50):
-            flags = update_regressions(state, data, spec, *sweep_shared(state, data),
+            flags = update_regressions(state, data, spec, *sweep_shared(state, data)[:2],
                                        *handoff(state, data), scales, rng)
             np.testing.assert_array_equal(flags[1], True)
             assert flags.dtype == bool
@@ -484,7 +486,7 @@ class TestVectorisedMetropolis:
         scales = np.array([[0.0, 2.4 * _grid_sd(grid_b, logd_b), 0.0], [0.05, 0.05, 0.0],
                            [0.1, 0.1, 0.0]])
         slope = np.empty(draws)
-        counts, table = sweep_shared(state, data)
+        counts, table, _ = sweep_shared(state, data)
         for it in range(burn + draws):
             update_regressions(state, data, spec, counts, table, *handoff(state, data), scales,
                                rng)
@@ -566,7 +568,7 @@ class TestVectorisedMetropolis:
         scales_b, scales_p = np.full((5, 3), 0.2), np.full(5, 0.5)
         for it in range(100):
             rng_vec, rng_ref = np.random.default_rng(it), np.random.default_rng(it)
-            counts, table = sweep_shared(vec, data)
+            counts, table, _ = sweep_shared(vec, data)
             flags_vec = update_regressions(vec, data, spec, counts, table, *handoff(vec, data),
                                            np.column_stack([scales_b, scales_p]), rng_vec)
             flags_ref = np.column_stack(reference(ref, data, spec, scales_b, scales_p, rng_ref))
@@ -586,11 +588,10 @@ class TestUpdateZeroInflation:
 
     def test_pi_zero_forces_w_zero(self, rng):
         data = self._zinb_setup()
-        spec = ModelSpec("zinb", k_max=1)
         draws = []
         for _ in range(4000):
             state = _state_for(data, 1, beta=[[2.0]], pi=[0.0])
-            pi, w = update_zero_inflation(state, data, spec, *sweep_shared(state, data), rng)
+            pi, w = update_zero_inflation(state, data, *sweep_shared(state, data), rng)
             assert np.all(w == 0)
             draws.append(pi[0])
         # Posterior is Beta(1, 1 + n); check the analytic mean.
@@ -603,21 +604,19 @@ class TestUpdateZeroInflation:
     def test_bernoulli_probability_two_thirds(self, rng):
         # pi = 0.5 and NB(0 | mu=1, psi=1) = 0.5 give P(w=1) = 2/3.
         data = Dataset(y=[0], X=np.ones((1, 1)), column_names=("intercept",))
-        spec = ModelSpec("zinb", k_max=1)
         hits = 0
         m = 30000
         for _ in range(m):
             state = _state_for(data, 1, beta=[[0.0]], psi=[1.0], pi=[0.5])
-            _, w = update_zero_inflation(state, data, spec, *sweep_shared(state, data), rng)
+            _, w = update_zero_inflation(state, data, *sweep_shared(state, data), rng)
             hits += int(w[0])
         se = math.sqrt((2 / 3) * (1 / 3) / m)
         assert abs(hits / m - 2 / 3) < 4 * se
 
     def test_positive_counts_never_structural(self, rng):
         data = self._zinb_setup()
-        spec = ModelSpec("zinb", k_max=1)
         state = _state_for(data, 1, beta=[[2.0]], pi=[0.9])
-        _, w = update_zero_inflation(state, data, spec, *sweep_shared(state, data), rng)
+        _, w = update_zero_inflation(state, data, *sweep_shared(state, data), rng)
         assert np.all(w[data.y > 0] == 0)
 
 
@@ -642,12 +641,11 @@ class TestZeroInflationConditionals:
                            beta=np.array([[1.0, 0.5], [0.5, -0.3], [0.0, 0.0]]),
                            psi=np.array([0.5, 20.0, 1.0]), z=z,
                            pi=np.array([0.6, 0.2, 0.4]))
-        spec = ModelSpec("zinb", k_max=3)
         rng = np.random.default_rng(17)
         pis, ws = [], []
         shared = sweep_shared(state, data)
         for _ in range(self.DRAWS):
-            pi, w = update_zero_inflation(copy.deepcopy(state), data, spec, *shared, rng)
+            pi, w = update_zero_inflation(copy.deepcopy(state), data, *shared, rng)
             pis.append(pi)
             ws.append(w)
         return data, state, np.array(pis), np.array(ws)
@@ -689,7 +687,8 @@ def _truth_data(truth, n):
 
 class TestHandoff:
     """The assignment draw hands each row's linear predictor and NB terms at
-    its new component to the regression block, which forms no eta itself."""
+    its new component to the regression block, which forms no eta itself,
+    and the terms to the structural-zero draw, which evaluates no pmf."""
 
     @pytest.mark.parametrize("variant", ["nb", "zinb"])
     def test_regressions_get_each_rows_eta_and_terms(self, two_component_truth, variant,
@@ -719,6 +718,26 @@ class TestHandoff:
         # One call per _log_pmf pass, then D beta steps and one psi step per
         # sweep: the current terms are handed on, not formed again.
         assert sum(map(len, eta_terms)) == len(log_pmf) + (data.d + 1) * sweeps
+
+    def test_zinb_sweep_evaluates_the_pmf_once_per_pass(self, two_component_truth, monkeypatch):
+        # The structural-zero draw reads ln NB(0 | z_n) off the hand-off, so a
+        # zinb sweep calls _log_pmf once on the occupied components and once
+        # more only in a sweep with envelope rows: as often as _to_weights.
+        data = _truth_data(two_component_truth, 200)
+        assert data.zero_mask.any()
+        spec = ModelSpec("zinb", k_max=6)
+        state = sampler._initial_state(data, spec, 0)
+        table = _nb_table(data, state.psi)
+        scales = np.full((spec.k_max, data.d + 1), 0.1)
+        rng = np.random.default_rng(42)
+        log_pmf, to_weights = _spy(monkeypatch, "_log_pmf"), _spy(monkeypatch, "_to_weights")
+        passes = []
+        for _ in range(60):
+            del log_pmf[:], to_weights[:]
+            sampler.sweep(state, data, spec, table, scales, rng)
+            assert len(log_pmf) == len(to_weights)
+            passes.append(len(to_weights))
+        assert set(passes) == {1, 2}
 
 
 class TestRunChain:
